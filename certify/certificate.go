@@ -26,11 +26,16 @@ import (
 //	per property: name, edge count, per edge (u, v, bit count, label bytes) |
 //	CRC32-IEEE trailer (4 bytes)
 //
-// Integers are unsigned varints; edges are sorted by endpoints, and each
-// label's bytes are the exact core.EncodeLabel bit stream. Decoding is
-// strict — wrong magic, unknown version, truncation, trailing bytes, CRC
-// mismatch, or non-canonical label bytes all fail with ErrBadCertificate —
-// and a decoded certificate re-marshals byte-identically.
+// Integers are minimal unsigned varints; edges are sorted by endpoints, and
+// each label's bytes are the exact core.EncodeLabel bit stream. Decoding is
+// strict and single-pass — wrong magic, unknown version, truncation,
+// trailing bytes, CRC mismatch, padded varints, or non-canonical label bytes
+// (rejected while reading, see core.LabelDecoder) all fail with
+// ErrBadCertificate — and a decoded certificate re-marshals
+// byte-identically. Each labeling is decoded by one core.LabelDecoder, so a
+// decoded certificate shares node entries and completion-edge certificates
+// by content the way a freshly proved one does, and their encodings are
+// taken from the input bytes rather than recomputed.
 type Certificate struct {
 	maxLanes    int
 	n, m        int
@@ -180,10 +185,11 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary strictly decodes a certificate previously produced by
 // MarshalBinary. Any deviation from the canonical encoding — wrong magic or
-// version, truncation, bit flips (caught by the CRC trailer), non-canonical
-// label payloads, duplicate edges or properties, or trailing bytes — fails
-// with an error matching ErrBadCertificate. On success the receiver
-// re-marshals byte-identically.
+// version, truncation, bit flips (caught by the CRC trailer), non-minimal
+// varints, non-canonical label payloads, duplicate edges or properties, or
+// trailing bytes — fails with an error matching ErrBadCertificate. On
+// success the receiver re-marshals byte-identically. The decoded labels
+// keep their own copies of the label bytes; data is not retained.
 func (c *Certificate) UnmarshalBinary(data []byte) error {
 	bad := func(format string, args ...any) error {
 		return wrapErr(ErrBadCertificate, fmt.Errorf(format, args...))
@@ -206,6 +212,11 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 		v, n := binary.Uvarint(r)
 		if n <= 0 {
 			return 0, bad("truncated %s", field)
+		}
+		if n > 1 && r[n-1] == 0 {
+			// A padded varint decodes to the same value but re-marshals
+			// shorter; only the minimal encoding is canonical.
+			return 0, bad("non-minimal varint in %s", field)
 		}
 		r = r[n:]
 		return v, nil
@@ -281,6 +292,7 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 			return bad("labeling for %q declares %d edges, only %d bytes remain", name, nEdges, len(r))
 		}
 		l := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, nEdges)}
+		var dec core.LabelDecoder
 		prev := graph.Edge{U: -1, V: -1}
 		for i := uint64(0); i < nEdges; i++ {
 			u, err := take("edge endpoint")
@@ -312,16 +324,9 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 			}
 			payload := r[:nbytes]
 			r = r[nbytes:]
-			el, derr := core.DecodeLabel(payload, int(nbits))
+			el, derr := dec.Decode(payload, int(nbits))
 			if derr != nil {
 				return bad("label for edge %v: %v", e, derr)
-			}
-			// Canonicality: the payload must be the exact re-encoding, so a
-			// decoded certificate re-marshals byte-identically and labels
-			// cannot smuggle unread trailing bits or dirty padding.
-			back, backBits := core.EncodeLabel(el)
-			if backBits != int(nbits) || string(back) != string(payload) {
-				return bad("label for edge %v is not canonically encoded", e)
 			}
 			l.Edges[e] = el
 		}

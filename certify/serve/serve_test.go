@@ -654,7 +654,7 @@ func TestStoreIdempotentPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1.PutCertificate("k", &certify.Certificate{})
+	a1.PutCertificate("k", &certify.Certificate{}, nil)
 	a2, err := store.PutGraph(certify.Path(16))
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +662,7 @@ func TestStoreIdempotentPut(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("identical configuration produced a second entry")
 	}
-	if _, ok := a2.Certificate("k"); !ok {
+	if _, _, ok := a2.Certificate("k"); !ok {
 		t.Fatal("existing certificates lost on re-put")
 	}
 	marked := certify.Path(16)

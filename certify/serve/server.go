@@ -160,7 +160,7 @@ type patchOutcome struct {
 	newFp uint64
 	n, m  int
 	us    *certify.UpdateStats
-	crt   *certify.Certificate
+	blob  []byte // the new generation's certificate, marshaled once
 	key   string
 	props []string
 }
@@ -616,7 +616,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		key := PropsKey(out.crt.Properties())
-		entry.PutCertificate(key, out.crt)
+		entry.PutCertificate(key, out.crt, blob)
 		resp.Properties = out.crt.Properties()
 		resp.CertificateKey = key
 		resp.Certificate = blob
@@ -724,17 +724,21 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return proveOutcome{err: err}
 		}
+		blob, err := crt.MarshalBinary()
+		if err != nil {
+			return proveOutcome{err: err}
+		}
 		certKey := PropsKey(crt.Properties())
 		// Commit: the edited graph takes over the store slot under its new
 		// fingerprint, carrying the updater so the next PATCH is incremental.
-		next := entry.successor(newFp, gSnap, upd, updKey, certKey, crt)
+		next := entry.successor(newFp, gSnap, upd, updKey, certKey, crt, blob)
 		s.store.Replace(fp, next)
 		return proveOutcome{patch: &patchOutcome{
 			newFp: newFp,
 			n:     gSnap.N(),
 			m:     gSnap.M(),
 			us:    us,
-			crt:   crt,
+			blob:  blob,
 			key:   certKey,
 			props: crt.Properties(),
 		}}
@@ -759,11 +763,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := out.patch
-	blob, err := p.crt.MarshalBinary()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, patchResponse{
 		Fingerprint:    fpString(p.newFp),
 		OldFingerprint: fpString(fp),
@@ -781,7 +780,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			TotalSources:  p.us.TotalSources,
 		},
 		CertificateKey: p.key,
-		Certificate:    blob,
+		Certificate:    p.blob,
 	})
 }
 
@@ -885,16 +884,13 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	crt, ok := entry.Certificate(key)
+	_, blob, ok := entry.Certificate(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no certificate %q for graph %s", key, fpString(fp)))
 		return
 	}
-	blob, err := crt.MarshalBinary()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
+	// The stored blob is the encoding proving (or PATCH) produced: a GET
+	// writes it out without re-marshaling.
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Certificate-Key", key)
 	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))

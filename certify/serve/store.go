@@ -91,7 +91,7 @@ func (s *Store) PutGraph(g *certify.Graph) (*Entry, error) {
 		s.count.Add(-1)
 		return nil, ErrStoreFull
 	}
-	e := &Entry{fp: fp, g: g, certs: map[string]*certify.Certificate{}}
+	e := &Entry{fp: fp, g: g, certs: map[string]storedCert{}}
 	sh.entries[fp] = e
 	return e, nil
 }
@@ -172,7 +172,7 @@ type Entry struct {
 	stErr      error
 
 	certMu sync.RWMutex
-	certs  map[string]*certify.Certificate
+	certs  map[string]storedCert
 
 	// The incremental updater behind PATCH /v1/graphs/{fp}/edges. It is
 	// built on the first PATCH (or when the requested property set or lane
@@ -267,28 +267,38 @@ func (e *Entry) UpdateEdges(ctx context.Context, c *certify.Certifier, key strin
 }
 
 // successor builds the entry that replaces e after a committed PATCH: the
-// new generation's graph and certificate under the new fingerprint, carrying
-// the updater forward.
-func (e *Entry) successor(fp uint64, g *certify.Graph, upd *certify.Updater, updKey, certKey string, crt *certify.Certificate) *Entry {
-	next := &Entry{fp: fp, g: g, certs: map[string]*certify.Certificate{certKey: crt}}
+// new generation's graph and certificate (with its marshaled blob) under the
+// new fingerprint, carrying the updater forward.
+func (e *Entry) successor(fp uint64, g *certify.Graph, upd *certify.Updater, updKey, certKey string, crt *certify.Certificate, blob []byte) *Entry {
+	next := &Entry{fp: fp, g: g, certs: map[string]storedCert{certKey: {crt: crt, blob: blob}}}
 	next.upd = upd
 	next.updKey = updKey
 	return next
 }
 
-// PutCertificate stores a certificate under the property-set key.
-func (e *Entry) PutCertificate(key string, crt *certify.Certificate) {
-	e.certMu.Lock()
-	defer e.certMu.Unlock()
-	e.certs[key] = crt
+// storedCert is a stored certificate next to its wire encoding, so fetches
+// serve the bytes proving already produced instead of re-marshaling.
+type storedCert struct {
+	crt  *certify.Certificate
+	blob []byte
 }
 
-// Certificate returns the certificate stored under the property-set key.
-func (e *Entry) Certificate(key string) (*certify.Certificate, bool) {
+// PutCertificate stores a certificate and its MarshalBinary encoding under
+// the property-set key. The blob is served as is and must not be modified
+// afterwards.
+func (e *Entry) PutCertificate(key string, crt *certify.Certificate, blob []byte) {
+	e.certMu.Lock()
+	defer e.certMu.Unlock()
+	e.certs[key] = storedCert{crt: crt, blob: blob}
+}
+
+// Certificate returns the certificate stored under the property-set key
+// and its marshaled blob (read-only).
+func (e *Entry) Certificate(key string) (*certify.Certificate, []byte, bool) {
 	e.certMu.RLock()
 	defer e.certMu.RUnlock()
-	crt, ok := e.certs[key]
-	return crt, ok
+	sc, ok := e.certs[key]
+	return sc.crt, sc.blob, ok
 }
 
 // CertificateKeys lists the stored property-set keys in sorted order.

@@ -4,6 +4,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mathbits "math/bits"
@@ -128,19 +129,78 @@ func (w *Writer) Bits() int { return w.nbits }
 // Bytes returns the encoded bytes (the final byte zero-padded).
 func (w *Writer) Bytes() []byte { return append([]byte(nil), w.buf...) }
 
-// ErrOutOfBits is returned when a Reader runs past the end of input.
+// ErrOutOfBits is returned when a Reader runs past the end of input. An
+// Elias-gamma length prefix of 64 or more ones (a value no 64-bit code
+// produces) also matches it: the reader gives up on the prefix as if the
+// input had ended there.
 var ErrOutOfBits = errors.New("bits: out of input")
 
-// Reader consumes bits written by Writer.
+// maxUvarintWidth bounds the Elias-gamma prefix: WriteUvarint emits at most
+// 63 ones before the stop bit.
+const maxUvarintWidth = 63
+
+// Reader consumes bits written by Writer. Multi-bit reads load the input a
+// 64-bit word at a time.
 type Reader struct {
 	buf  []byte
 	pos  int
 	size int
 }
 
-// NewReader wraps encoded bytes with an explicit bit length.
+// NewReader wraps encoded bytes with an explicit bit length. A length
+// beyond the buffer is clipped to it.
 func NewReader(buf []byte, nbits int) *Reader {
+	nbits = max(min(nbits, len(buf)*8), 0)
 	return &Reader{buf: buf, size: nbits}
+}
+
+// Pos returns the number of bits consumed so far.
+func (r *Reader) Pos() int { return r.pos }
+
+// window returns the input starting at bit p, left-aligned in a word (bit p
+// is bit 63), and how many of its bits lie before the end of input; the
+// bits past that are zero. At least 57 bits are valid whenever that many
+// remain.
+func (r *Reader) window(p int) (uint64, int) {
+	i := p >> 3
+	var w uint64
+	if i+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for j := i; j < len(r.buf); j++ {
+			w |= uint64(r.buf[j]) << uint(56-8*(j-i))
+		}
+	}
+	off := p & 7
+	w <<= uint(off)
+	valid := min(64-off, r.size-p)
+	return w & ^(^uint64(0) >> uint(valid)), valid
+}
+
+// AppendSpan appends the consumed input bits [from, Pos()) to dst exactly
+// as a Writer emitting them would hold them: left-aligned, final byte
+// zero-padded. Decoders use it to recover a component's canonical encoding
+// from the bits it was read from.
+func (r *Reader) AppendSpan(dst []byte, from int) []byte {
+	n := r.pos - from
+	if n <= 0 {
+		return dst
+	}
+	if from&7 == 0 {
+		i := from >> 3
+		dst = append(dst, r.buf[i:i+(n+7)/8]...)
+	} else {
+		for p := from; p < r.pos; p += 56 {
+			w, _ := r.window(p)
+			for k := 0; k < 7 && p+8*k < r.pos; k++ {
+				dst = append(dst, byte(w>>uint(56-8*k)))
+			}
+		}
+	}
+	if tail := n & 7; tail != 0 {
+		dst[len(dst)-1] &= 0xff << uint(8-tail)
+	}
+	return dst
 }
 
 // ReadBit consumes one bit.
@@ -153,45 +213,56 @@ func (r *Reader) ReadBit() (bool, error) {
 	return b, nil
 }
 
-// ReadUint consumes width bits.
+// ReadUint consumes width bits. Widths beyond 64 keep the low 64 bits of
+// the value, matching WriteUint's leading-zero padding.
 func (r *Reader) ReadUint(width int) (uint64, error) {
+	if width > r.size-r.pos {
+		return 0, ErrOutOfBits
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	for width > 0 {
+		n := min(width, 56)
+		w, _ := r.window(r.pos)
+		v = v<<uint(n) | w>>uint(64-n)
+		r.pos += n
+		width -= n
 	}
 	return v, nil
 }
 
-// ReadUvarint consumes one WriteUvarint value.
+// ReadUvarint consumes one WriteUvarint value. The unary prefix is counted
+// a word at a time; a prefix longer than any WriteUvarint emits fails with
+// an error matching ErrOutOfBits.
 func (r *Reader) ReadUvarint() (uint64, error) {
+	w, valid := r.window(r.pos)
+	if ones := mathbits.LeadingZeros64(^w); 2*ones < valid {
+		// Prefix, stop bit and value bits all lie in this word.
+		r.pos += 2*ones + 1
+		return (1<<uint(ones) | w<<uint(ones+1)>>uint(64-ones)) - 1, nil
+	}
 	width := 0
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if !b {
+		ones := mathbits.LeadingZeros64(^w)
+		if ones < valid {
+			width += ones
+			r.pos += ones + 1
 			break
 		}
-		width++
-	}
-	v := uint64(1)
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		width += valid
+		r.pos += valid
+		if r.pos >= r.size {
+			return 0, ErrOutOfBits
 		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+		w, valid = r.window(r.pos)
 	}
-	return v - 1, nil
+	if width > maxUvarintWidth {
+		return 0, errLongPrefix
+	}
+	v, err := r.ReadUint(width)
+	if err != nil {
+		return 0, err
+	}
+	return (1<<uint(width) | v) - 1, nil
 }
+
+var errLongPrefix = fmt.Errorf("%w: Elias-gamma prefix of more than %d ones", ErrOutOfBits, maxUvarintWidth)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/bits"
 	"repro/internal/cert"
@@ -16,30 +18,86 @@ func EncodeLabel(l *EdgeLabel) ([]byte, int) {
 	return w.Bytes(), w.Bits()
 }
 
-// DecodeLabel parses a label previously produced by EncodeLabel. Together
-// they witness that the bit counts reported by experiments correspond to a
-// real, self-delimiting encoding (round-trip tested in decode_test.go).
+// DecodeLabel parses a label produced by EncodeLabel. It is canonical: it
+// accepts exactly the (data, nbits) pairs EncodeLabel produces, so every
+// decoded label re-encodes to its input (see LabelDecoder for the forms it
+// rejects). Together they witness that the bit counts reported by
+// experiments correspond to a real, self-delimiting encoding.
 func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
+	var d LabelDecoder
+	return d.Decode(data, nbits)
+}
+
+// LabelDecoder decodes the labels of one labeling in a single canonical
+// pass. It rejects every non-canonical form while reading:
+//
+//   - a byte length other than ⌈nbits/8⌉, or padding bits that are not zero;
+//   - unread trailing bits;
+//   - an Elias-gamma prefix longer than any value needs (bits.Reader);
+//   - a lane listed twice whose id values differ (the id maps keep one);
+//   - a non-member entry (ParentID −1) with a non-zero merged class or
+//     merged id.
+//
+// Node entries and completion-edge certificates are interned by their
+// exact bit content, so labels decoded by one LabelDecoder share entries
+// the way the prover's labels do (Theorem 1's embedding certification
+// copies one virtual edge's certificate onto every edge of its path). Each
+// decoded component's encoding cache is filled from the input bits it was
+// read from: Key, Bits and re-encoding never run the encoder. Each entry is
+// read once into a reused scratch record; the NodeEntry and its maps are
+// built only when its content is new.
+//
+// The zero value is ready to use. A LabelDecoder is not safe for
+// concurrent use; the labels it returns are.
+type LabelDecoder struct {
+	entries map[string]*NodeEntry
+	cedges  map[string]*CEdgeLabel
+	key     []byte // scratch: a component's canonical bytes, then its bit count
+	rec     entryRec
+	path    []*NodeEntry
+}
+
+// Decode parses one label; see DecodeLabel.
+func (d *LabelDecoder) Decode(data []byte, nbits int) (*EdgeLabel, error) {
+	if nbits < 0 || len(data) != (nbits+7)/8 {
+		return nil, fmt.Errorf("core: a %d-bit label cannot span %d bytes", nbits, len(data))
+	}
+	if tail := nbits & 7; tail != 0 && data[len(data)-1]<<uint(tail) != 0 {
+		return nil, errors.New("core: non-canonical label: padding bits are set")
+	}
 	r := bits.NewReader(data, nbits)
-	l, err := decodeEdgeLabel(r)
+	l, err := d.edgeLabel(r)
 	if err != nil {
 		return nil, err
 	}
+	if r.Pos() != nbits {
+		return nil, fmt.Errorf("core: non-canonical label: %d unread trailing bits", nbits-r.Pos())
+	}
+	d.key = strconv.AppendInt(append(d.key[:0], data...), int64(nbits), 10)
+	l.cache.fill(append([]byte(nil), data...), nbits, string(d.key))
 	return l, nil
 }
 
-func decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
+// span sets d.key to the canonical encoding of the input bits
+// [start, r.Pos()) followed by their bit count — the encCache key format —
+// and returns the encoding's byte and bit lengths.
+func (d *LabelDecoder) span(r *bits.Reader, start int) (nbytes, nbits int) {
+	d.key = r.AppendSpan(d.key[:0], start)
+	nbytes, nbits = len(d.key), r.Pos()-start
+	d.key = strconv.AppendInt(d.key, int64(nbits), 10)
+	return nbytes, nbits
+}
+
+func (d *LabelDecoder) edgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	out := &EdgeLabel{}
 	hasOwn, err := r.ReadBit()
 	if err != nil {
 		return nil, err
 	}
 	if hasOwn {
-		own, err := decodeCEdge(r)
-		if err != nil {
+		if out.Own, err = d.cedge(r); err != nil {
 			return nil, err
 		}
-		out.Own = own
 	}
 	nEmb, err := r.ReadUvarint()
 	if err != nil {
@@ -50,22 +108,21 @@ func decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	}
 	for i := uint64(0); i < nEmb; i++ {
 		var e EmbEntry
+		var fwd, bwd uint64
 		if e.UID, err = r.ReadUvarint(); err != nil {
 			return nil, err
 		}
 		if e.VID, err = r.ReadUvarint(); err != nil {
 			return nil, err
 		}
-		fwd, err := r.ReadUvarint()
-		if err != nil {
+		if fwd, err = r.ReadUvarint(); err != nil {
 			return nil, err
 		}
-		bwd, err := r.ReadUvarint()
-		if err != nil {
+		if bwd, err = r.ReadUvarint(); err != nil {
 			return nil, err
 		}
 		e.Fwd, e.Bwd = int(fwd), int(bwd)
-		if e.Payload, err = decodeCEdge(r); err != nil {
+		if e.Payload, err = d.cedge(r); err != nil {
 			return nil, err
 		}
 		out.Emb = append(out.Emb, e)
@@ -76,22 +133,11 @@ func decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	}
 	if hasPointing {
 		var p cert.PointingLabel
-		if p.X, err = r.ReadUvarint(); err != nil {
-			return nil, err
-		}
-		if p.UID, err = r.ReadUvarint(); err != nil {
-			return nil, err
-		}
-		if p.VID, err = r.ReadUvarint(); err != nil {
-			return nil, err
-		}
-		du, err := r.ReadUvarint()
-		if err != nil {
-			return nil, err
-		}
-		dv, err := r.ReadUvarint()
-		if err != nil {
-			return nil, err
+		var du, dv uint64
+		for _, dst := range []*uint64{&p.X, &p.UID, &p.VID, &du, &dv} {
+			if *dst, err = r.ReadUvarint(); err != nil {
+				return nil, err
+			}
 		}
 		p.DU, p.DV = int(du), int(dv)
 		out.Pointing = &p
@@ -99,7 +145,10 @@ func decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	return out, nil
 }
 
-func decodeCEdge(r *bits.Reader) (*CEdgeLabel, error) {
+// cedge reads one completion-edge certificate, returning the interned
+// instance of its content.
+func (d *LabelDecoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
+	start := r.Pos()
 	n, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
@@ -107,35 +156,252 @@ func decodeCEdge(r *bits.Reader) (*CEdgeLabel, error) {
 	if n > 1<<16 {
 		return nil, fmt.Errorf("core: implausible path length %d", n)
 	}
-	out := &CEdgeLabel{}
+	d.path = d.path[:0]
 	for i := uint64(0); i < n; i++ {
-		e, err := decodeEntry(r)
+		e, err := d.entry(r)
 		if err != nil {
 			return nil, err
 		}
-		out.Path = append(out.Path, e)
+		d.path = append(d.path, e)
 	}
 	pos, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
-	out.OwnerPos = int(pos)
-	return out, nil
+	nbytes, nbits := d.span(r, start)
+	if c, ok := d.cedges[string(d.key)]; ok {
+		return c, nil
+	}
+	c := &CEdgeLabel{OwnerPos: int(pos)}
+	if len(d.path) > 0 {
+		c.Path = append([]*NodeEntry(nil), d.path...)
+	}
+	key := string(d.key)
+	c.cache.fill([]byte(key[:nbytes]), nbits, key)
+	if d.cedges == nil {
+		d.cedges = map[string]*CEdgeLabel{}
+	}
+	d.cedges[key] = c
+	return c, nil
 }
 
-func decodeIDMap(r *bits.Reader, lanes []int) (map[int]uint64, error) {
-	out := make(map[int]uint64, len(lanes))
-	for _, l := range lanes {
+// entry reads one node entry into the scratch record and returns the
+// interned instance of its content, building it on first sight.
+func (d *LabelDecoder) entry(r *bits.Reader) (*NodeEntry, error) {
+	start := r.Pos()
+	if err := d.rec.read(r); err != nil {
+		return nil, err
+	}
+	nbytes, nbits := d.span(r, start)
+	if e, ok := d.entries[string(d.key)]; ok {
+		return e, nil
+	}
+	e := d.rec.build()
+	key := string(d.key)
+	e.cache.fill([]byte(key[:nbytes]), nbits, key)
+	if d.entries == nil {
+		d.entries = map[string]*NodeEntry{}
+	}
+	d.entries[key] = e
+	return e, nil
+}
+
+// entryRec is the scratch form of a NodeEntry as read: id maps are kept as
+// lane-ordered columns, and every slice is reused across entries.
+type entryRec struct {
+	nodeID, kind, class, parent, merged uint64
+	lanes                               []int
+	in, out, mergedOut                  []uint64
+	children                            []childRec
+	pathIDs                             []uint64
+	realBits                            []bool
+	vInputs                             []uint64
+	laneI, laneJ                        uint64
+	bridgeReal                          bool
+	ops                                 [2]operandRec
+	hasOp                               [2]bool
+	root                                childRec
+	hasRoot                             bool
+}
+
+// childRec is the scratch form of a ChildSummary.
+type childRec struct {
+	nodeID, class uint64
+	lanes         []int
+	in, mergedOut []uint64
+}
+
+// operandRec is the scratch form of an OperandSummary.
+type operandRec struct {
+	nodeID, kind, class, input uint64
+	lanes                      []int
+	in, out                    []uint64
+}
+
+func (e *entryRec) read(r *bits.Reader) error {
+	var err error
+	if e.nodeID, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if e.kind, err = r.ReadUint(3); err != nil {
+		return err
+	}
+	if e.lanes, err = readLanes(r, e.lanes); err != nil {
+		return err
+	}
+	if e.in, err = readIDs(r, e.lanes, e.in); err != nil {
+		return err
+	}
+	if e.out, err = readIDs(r, e.lanes, e.out); err != nil {
+		return err
+	}
+	if e.class, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if e.parent, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if e.merged, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if e.mergedOut, err = readIDs(r, e.lanes, e.mergedOut); err != nil {
+		return err
+	}
+	if e.parent == 0 {
+		// A non-member's merged fields are implied zero: the encoder
+		// writes zeros and the entry does not carry them.
+		if e.merged != 0 {
+			return errors.New("core: non-canonical label: non-member entry carries a merged class")
+		}
+		for _, id := range e.mergedOut {
+			if id != 0 {
+				return errors.New("core: non-canonical label: non-member entry carries merged ids")
+			}
+		}
+	}
+	nChildren, err := r.ReadUvarint()
+	if err != nil {
+		return err
+	}
+	if nChildren > 1<<12 {
+		return fmt.Errorf("core: implausible child count %d", nChildren)
+	}
+	e.children = e.children[:0]
+	for i := uint64(0); i < nChildren; i++ {
+		if len(e.children) < cap(e.children) {
+			e.children = e.children[:len(e.children)+1]
+		} else {
+			e.children = append(e.children, childRec{})
+		}
+		if err := e.children[i].read(r); err != nil {
+			return err
+		}
+	}
+	nPath, err := r.ReadUvarint()
+	if err != nil {
+		return err
+	}
+	if nPath > 1<<12 {
+		return fmt.Errorf("core: implausible path-id count %d", nPath)
+	}
+	e.pathIDs, e.realBits, e.vInputs = e.pathIDs[:0], e.realBits[:0], e.vInputs[:0]
+	for i := uint64(0); i < nPath; i++ {
 		v, err := r.ReadUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[l] = v
+		e.pathIDs = append(e.pathIDs, v)
 	}
-	return out, nil
+	if nPath > 0 {
+		// RealBits and VInputs lengths are kind-determined: one real bit
+		// per consecutive path pair, one input per path vertex.
+		for i := uint64(1); i < nPath; i++ {
+			b, err := r.ReadBit()
+			if err != nil {
+				return err
+			}
+			e.realBits = append(e.realBits, b)
+		}
+		for i := uint64(0); i < nPath; i++ {
+			v, err := r.ReadUvarint()
+			if err != nil {
+				return err
+			}
+			e.vInputs = append(e.vInputs, v)
+		}
+	}
+	if e.laneI, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if e.laneJ, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if e.bridgeReal, err = r.ReadBit(); err != nil {
+		return err
+	}
+	for i := range e.ops {
+		if e.hasOp[i], err = r.ReadBit(); err != nil {
+			return err
+		}
+		if e.hasOp[i] {
+			if err := e.ops[i].read(r); err != nil {
+				return err
+			}
+		}
+	}
+	if e.hasRoot, err = r.ReadBit(); err != nil {
+		return err
+	}
+	if e.hasRoot {
+		return e.root.read(r)
+	}
+	return nil
 }
 
-func decodeLanes(r *bits.Reader) ([]int, error) {
+func (c *childRec) read(r *bits.Reader) error {
+	var err error
+	if c.nodeID, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if c.lanes, err = readLanes(r, c.lanes); err != nil {
+		return err
+	}
+	if c.in, err = readIDs(r, c.lanes, c.in); err != nil {
+		return err
+	}
+	if c.mergedOut, err = readIDs(r, c.lanes, c.mergedOut); err != nil {
+		return err
+	}
+	c.class, err = r.ReadUvarint()
+	return err
+}
+
+func (o *operandRec) read(r *bits.Reader) error {
+	var err error
+	if o.nodeID, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	if o.kind, err = r.ReadUint(3); err != nil {
+		return err
+	}
+	if o.lanes, err = readLanes(r, o.lanes); err != nil {
+		return err
+	}
+	if o.in, err = readIDs(r, o.lanes, o.in); err != nil {
+		return err
+	}
+	if o.out, err = readIDs(r, o.lanes, o.out); err != nil {
+		return err
+	}
+	if o.class, err = r.ReadUvarint(); err != nil {
+		return err
+	}
+	o.input, err = r.ReadUvarint()
+	return err
+}
+
+// readLanes reads a lane list into dst's storage.
+func readLanes(r *bits.Reader, dst []int) ([]int, error) {
 	n, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
@@ -143,204 +409,130 @@ func decodeLanes(r *bits.Reader) ([]int, error) {
 	if n > 1<<12 {
 		return nil, fmt.Errorf("core: implausible lane count %d", n)
 	}
-	lanes := make([]int, 0, n)
+	dst = dst[:0]
 	for i := uint64(0); i < n; i++ {
 		l, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
 		}
-		lanes = append(lanes, int(l))
+		dst = append(dst, int(l))
 	}
-	return lanes, nil
+	return dst, nil
 }
 
-func decodeEntry(r *bits.Reader) (*NodeEntry, error) {
-	e := &NodeEntry{}
-	id, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.NodeID = int(id)
-	kind, err := r.ReadUint(3)
-	if err != nil {
-		return nil, err
-	}
-	e.Kind = lanewidth.Kind(kind)
-	if e.Lanes, err = decodeLanes(r); err != nil {
-		return nil, err
-	}
-	if e.InIDs, err = decodeIDMap(r, e.Lanes); err != nil {
-		return nil, err
-	}
-	if e.OutIDs, err = decodeIDMap(r, e.Lanes); err != nil {
-		return nil, err
-	}
-	cls, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.ClassID = int(cls)
-	parent, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.ParentID = int(parent) - 1
-	merged, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.MergedClassID = int(merged)
-	mergedOut, err := decodeIDMap(r, e.Lanes)
-	if err != nil {
-		return nil, err
-	}
-	nChildren, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nChildren > 1<<12 {
-		return nil, fmt.Errorf("core: implausible child count %d", nChildren)
-	}
-	for i := uint64(0); i < nChildren; i++ {
-		c, err := decodeChild(r)
-		if err != nil {
-			return nil, err
-		}
-		e.Children = append(e.Children, c)
-	}
-	if e.ParentID == -1 {
-		// Non-members carry no merged data; the zero map written by the
-		// encoder is consumed above and discarded here.
-		e.MergedClassID = 0
-	} else {
-		e.MergedOutIDs = mergedOut
-	}
-	nPath, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nPath > 1<<12 {
-		return nil, fmt.Errorf("core: implausible path-id count %d", nPath)
-	}
-	for i := uint64(0); i < nPath; i++ {
+// readIDs reads one id per lane into dst's storage. The id maps keep one
+// value per lane, so a lane listed twice must carry the same id twice.
+func readIDs(r *bits.Reader, lanes []int, dst []uint64) ([]uint64, error) {
+	dst = dst[:0]
+	for range lanes {
 		v, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
 		}
-		e.PathIDs = append(e.PathIDs, v)
+		dst = append(dst, v)
 	}
-	if len(e.PathIDs) > 0 {
-		// RealBits and VInputs lengths are kind-determined: one real bit
-		// per consecutive path pair, one input per path vertex.
-		for i := 0; i+1 < len(e.PathIDs); i++ {
-			b, err := r.ReadBit()
-			if err != nil {
-				return nil, err
-			}
-			e.RealBits = append(e.RealBits, b)
-		}
-		for i := 0; i < len(e.PathIDs); i++ {
-			in, err := r.ReadUvarint()
-			if err != nil {
-				return nil, err
-			}
-			e.VInputs = append(e.VInputs, int(in))
+	for i := 1; i < len(lanes); i++ {
+		if lanes[i] <= lanes[i-1] {
+			return dst, checkRepeatedLanes(lanes, dst)
 		}
 	}
-	li, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	lj, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.LaneI, e.LaneJ = int(li), int(lj)
-	if e.BridgeReal, err = r.ReadBit(); err != nil {
-		return nil, err
-	}
-	for _, dst := range []**OperandSummary{&e.Left, &e.Right} {
-		has, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		if !has {
-			continue
-		}
-		op, err := decodeOperand(r)
-		if err != nil {
-			return nil, err
-		}
-		*dst = op
-	}
-	hasRM, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	if hasRM {
-		rm, err := decodeChild(r)
-		if err != nil {
-			return nil, err
-		}
-		e.RootMember = &rm
-	}
-	return e, nil
+	return dst, nil
 }
 
-func decodeChild(r *bits.Reader) (ChildSummary, error) {
-	var c ChildSummary
-	id, err := r.ReadUvarint()
-	if err != nil {
-		return c, err
+// checkRepeatedLanes is readIDs' slow path for lane lists that are not
+// strictly increasing.
+func checkRepeatedLanes(lanes []int, ids []uint64) error {
+	seen := make(map[int]uint64, len(lanes))
+	for i, l := range lanes {
+		if v, ok := seen[l]; ok && v != ids[i] {
+			return fmt.Errorf("core: non-canonical label: lane %d listed twice with different ids", l)
+		}
+		seen[l] = ids[i]
 	}
-	c.NodeID = int(id)
-	if c.Lanes, err = decodeLanes(r); err != nil {
-		return c, err
-	}
-	if c.InIDs, err = decodeIDMap(r, c.Lanes); err != nil {
-		return c, err
-	}
-	if c.MergedOutIDs, err = decodeIDMap(r, c.Lanes); err != nil {
-		return c, err
-	}
-	cls, err := r.ReadUvarint()
-	if err != nil {
-		return c, err
-	}
-	c.MergedClassID = int(cls)
-	return c, nil
+	return nil
 }
 
-func decodeOperand(r *bits.Reader) (*OperandSummary, error) {
-	o := &OperandSummary{}
-	id, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
+// build materializes the scratch record as a fresh NodeEntry.
+func (e *entryRec) build() *NodeEntry {
+	n := &NodeEntry{
+		NodeID:   int(e.nodeID),
+		Kind:     lanewidth.Kind(e.kind),
+		Lanes:    cloneLanes(e.lanes),
+		InIDs:    idMap(e.lanes, e.in),
+		OutIDs:   idMap(e.lanes, e.out),
+		ClassID:  int(e.class),
+		ParentID: int(e.parent) - 1,
+		LaneI:    int(e.laneI),
+		LaneJ:    int(e.laneJ),
+
+		BridgeReal: e.bridgeReal,
 	}
-	o.NodeID = int(id)
-	kind, err := r.ReadUint(3)
-	if err != nil {
-		return nil, err
+	if n.ParentID != -1 {
+		n.MergedClassID = int(e.merged)
+		n.MergedOutIDs = idMap(e.lanes, e.mergedOut)
 	}
-	o.Kind = lanewidth.Kind(kind)
-	if o.Lanes, err = decodeLanes(r); err != nil {
-		return nil, err
+	if len(e.children) > 0 {
+		n.Children = make([]ChildSummary, len(e.children))
+		for i := range e.children {
+			n.Children[i] = e.children[i].build()
+		}
 	}
-	if o.InIDs, err = decodeIDMap(r, o.Lanes); err != nil {
-		return nil, err
+	if len(e.pathIDs) > 0 {
+		n.PathIDs = append([]uint64(nil), e.pathIDs...)
+		n.VInputs = make([]int, len(e.vInputs))
+		for i, v := range e.vInputs {
+			n.VInputs[i] = int(v)
+		}
+		if len(e.realBits) > 0 {
+			n.RealBits = append([]bool(nil), e.realBits...)
+		}
 	}
-	if o.OutIDs, err = decodeIDMap(r, o.Lanes); err != nil {
-		return nil, err
+	for i, dst := range []**OperandSummary{&n.Left, &n.Right} {
+		if e.hasOp[i] {
+			*dst = e.ops[i].build()
+		}
 	}
-	cls, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
+	if e.hasRoot {
+		rm := e.root.build()
+		n.RootMember = &rm
 	}
-	o.ClassID = int(cls)
-	input, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
+	return n
+}
+
+func (c *childRec) build() ChildSummary {
+	return ChildSummary{
+		NodeID:        int(c.nodeID),
+		Lanes:         cloneLanes(c.lanes),
+		InIDs:         idMap(c.lanes, c.in),
+		MergedOutIDs:  idMap(c.lanes, c.mergedOut),
+		MergedClassID: int(c.class),
 	}
-	o.Input = int(input)
-	return o, nil
+}
+
+func (o *operandRec) build() *OperandSummary {
+	return &OperandSummary{
+		NodeID:  int(o.nodeID),
+		Kind:    lanewidth.Kind(o.kind),
+		Lanes:   cloneLanes(o.lanes),
+		InIDs:   idMap(o.lanes, o.in),
+		OutIDs:  idMap(o.lanes, o.out),
+		ClassID: int(o.class),
+		Input:   int(o.input),
+	}
+}
+
+// cloneLanes copies a scratch lane list (non-nil even when empty, as every
+// decoded lane list is).
+func cloneLanes(lanes []int) []int {
+	out := make([]int, len(lanes))
+	copy(out, lanes)
+	return out
+}
+
+func idMap(lanes []int, ids []uint64) map[int]uint64 {
+	m := make(map[int]uint64, len(lanes))
+	for i, l := range lanes {
+		m[l] = ids[i]
+	}
+	return m
 }

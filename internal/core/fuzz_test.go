@@ -98,13 +98,14 @@ func TestDecodeRejectsTruncatedStreams(t *testing.T) {
 
 // TestVerifierRejectsBitFlippedStreams flips every bit of every encoded
 // label and pins the wire-corruption invariant: each flip either fails to
-// decode, is rejected by some vertex, or is provably harmless — the decoded
-// label re-encodes byte-identically (the flip hit bits the decoder
-// discards, e.g. a non-member's merged-class field), or it belongs to the
-// tiny deterministic tail of bookkeeping-only mutations (≤0.5% of flips,
-// e.g. a ChildSummary.NodeID on a copy no binding vertex dereferences)
-// whose algebraic content the verifier fully re-checks. The verifier must
-// never panic along the way.
+// decode, is rejected by some vertex, or belongs to the tiny deterministic
+// tail of bookkeeping-only mutations (≤0.5% of flips, e.g. a
+// ChildSummary.NodeID on a copy no binding vertex dereferences) whose
+// algebraic content the verifier fully re-checks. A flip into bits the
+// structure discards (e.g. a non-member's merged-class field) is a
+// non-canonical encoding and fails to decode, so no accepted flip can
+// re-encode to the original bytes. The verifier must never panic along the
+// way.
 func TestVerifierRejectsBitFlippedStreams(t *testing.T) {
 	s, cfg, labeling := fuzzLabeling(t)
 	flips, rejected, decodeErrs, invisible, bookkeeping := 0, 0, 0, 0, 0
@@ -135,6 +136,9 @@ func TestVerifierRejectsBitFlippedStreams(t *testing.T) {
 	}
 	if rejected+decodeErrs == 0 {
 		t.Fatal("no corruption detected at all — sweep is vacuous")
+	}
+	if invisible != 0 {
+		t.Fatalf("%d flips decoded to labels that re-encode to the unflipped bytes", invisible)
 	}
 	if bookkeeping > flips/200 {
 		t.Fatalf("%d of %d flips accepted with differing bytes — beyond the bookkeeping tail", bookkeeping, flips)

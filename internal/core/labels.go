@@ -54,8 +54,9 @@ type OperandSummary struct {
 }
 
 // encCache memoizes a label component's canonical encoding. Labels are
-// immutable once handed out by Prove (corruption experiments go through
-// Clone, which resets the cache), so the encoding is computed at most once;
+// immutable once handed out by Prove or a LabelDecoder (corruption
+// experiments go through Clone, which resets the cache), so the encoding is
+// computed — or, for decoded labels, filled from the input — at most once;
 // the sync.Once makes concurrent verifiers (VerifyParallel, dist) race-free.
 type encCache struct {
 	once  sync.Once
@@ -80,6 +81,17 @@ func (c *encCache) materialize(raw func(*bits.Writer)) {
 		c.nbits = w.Bits()
 		c.key = string(c.data) + strconv.Itoa(c.nbits)
 	})
+}
+
+// fill freezes an encoding recovered from decoded input instead of running
+// the encoder: data, nbits and key are exactly what materialize would
+// compute for the decoded component (LabelDecoder checks canonicality while
+// reading, so the input bits are the canonical encoding).
+func (c *encCache) fill(data []byte, nbits int, key string) {
+	c.once.Do(func() {
+		c.data, c.nbits, c.key = data, nbits, key
+	})
+	c.sizeOnce.Do(func() { c.size = nbits })
 }
 
 // NodeEntry is the basic information B(G) of one hierarchy node, stored on
