@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -51,16 +53,16 @@ func (n *NodeEntry) clone() *NodeEntry {
 	out := &NodeEntry{
 		NodeID:        n.NodeID,
 		Kind:          n.Kind,
-		Lanes:         append([]int(nil), n.Lanes...),
-		InIDs:         cloneIDMap(n.InIDs),
-		OutIDs:        cloneIDMap(n.OutIDs),
+		Lanes:         slices.Clone(n.Lanes),
+		InIDs:         slices.Clone(n.InIDs),
+		OutIDs:        slices.Clone(n.OutIDs),
 		ClassID:       n.ClassID,
 		ParentID:      n.ParentID,
 		MergedClassID: n.MergedClassID,
-		MergedOutIDs:  cloneIDMap(n.MergedOutIDs),
-		PathIDs:       append([]uint64(nil), n.PathIDs...),
-		RealBits:      append([]bool(nil), n.RealBits...),
-		VInputs:       append([]int(nil), n.VInputs...),
+		MergedOutIDs:  slices.Clone(n.MergedOutIDs),
+		PathIDs:       slices.Clone(n.PathIDs),
+		RealBits:      slices.Clone(n.RealBits),
+		VInputs:       slices.Clone(n.VInputs),
 		LaneI:         n.LaneI,
 		LaneJ:         n.LaneJ,
 		BridgeReal:    n.BridgeReal,
@@ -84,9 +86,9 @@ func (n *NodeEntry) clone() *NodeEntry {
 func (c ChildSummary) clone() ChildSummary {
 	return ChildSummary{
 		NodeID:        c.NodeID,
-		Lanes:         append([]int(nil), c.Lanes...),
-		InIDs:         cloneIDMap(c.InIDs),
-		MergedOutIDs:  cloneIDMap(c.MergedOutIDs),
+		Lanes:         slices.Clone(c.Lanes),
+		InIDs:         slices.Clone(c.InIDs),
+		MergedOutIDs:  slices.Clone(c.MergedOutIDs),
 		MergedClassID: c.MergedClassID,
 	}
 }
@@ -95,21 +97,10 @@ func (o *OperandSummary) clone() *OperandSummary {
 	return &OperandSummary{
 		NodeID:  o.NodeID,
 		Kind:    o.Kind,
-		Lanes:   append([]int(nil), o.Lanes...),
-		InIDs:   cloneIDMap(o.InIDs),
-		OutIDs:  cloneIDMap(o.OutIDs),
+		Lanes:   slices.Clone(o.Lanes),
+		InIDs:   slices.Clone(o.InIDs),
+		OutIDs:  slices.Clone(o.OutIDs),
 		ClassID: o.ClassID,
 		Input:   o.Input,
 	}
-}
-
-func cloneIDMap(m map[int]uint64) map[int]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/bits"
@@ -34,7 +35,8 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 //   - a byte length other than ⌈nbits/8⌉, or padding bits that are not zero;
 //   - unread trailing bits;
 //   - an Elias-gamma prefix longer than any value needs (bits.Reader);
-//   - a lane listed twice whose id values differ (the id maps keep one);
+//   - a lane listed twice whose id values differ (the decode oracle
+//     collapses ids by lane, so its re-encoding differs and it rejects);
 //   - a non-member entry (ParentID −1) with a non-zero merged class or
 //     merged id.
 //
@@ -44,8 +46,8 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 // copies one virtual edge's certificate onto every edge of its path). Each
 // decoded component's encoding cache is filled from the input bits it was
 // read from: Key, Bits and re-encoding never run the encoder. Each entry is
-// read once into a reused scratch record; the NodeEntry and its maps are
-// built only when its content is new.
+// read once into a reused scratch record; the NodeEntry is built, with
+// copies of the record's columns, only when its content is new.
 //
 // The zero value is ready to use. A LabelDecoder is not safe for
 // concurrent use; the labels it returns are.
@@ -206,8 +208,8 @@ func (d *LabelDecoder) entry(r *bits.Reader) (*NodeEntry, error) {
 	return e, nil
 }
 
-// entryRec is the scratch form of a NodeEntry as read: id maps are kept as
-// lane-ordered columns, and every slice is reused across entries.
+// entryRec is the scratch form of a NodeEntry as read: the same
+// lane-aligned columns, with every slice reused across entries.
 type entryRec struct {
 	nodeID, kind, class, parent, merged uint64
 	lanes                               []int
@@ -420,8 +422,8 @@ func readLanes(r *bits.Reader, dst []int) ([]int, error) {
 	return dst, nil
 }
 
-// readIDs reads one id per lane into dst's storage. The id maps keep one
-// value per lane, so a lane listed twice must carry the same id twice.
+// readIDs reads one id per lane into dst's storage. A lane listed twice
+// must carry the same id twice (see LabelDecoder).
 func readIDs(r *bits.Reader, lanes []int, dst []uint64) ([]uint64, error) {
 	dst = dst[:0]
 	for range lanes {
@@ -458,8 +460,8 @@ func (e *entryRec) build() *NodeEntry {
 		NodeID:   int(e.nodeID),
 		Kind:     lanewidth.Kind(e.kind),
 		Lanes:    cloneLanes(e.lanes),
-		InIDs:    idMap(e.lanes, e.in),
-		OutIDs:   idMap(e.lanes, e.out),
+		InIDs:    slices.Clone(e.in),
+		OutIDs:   slices.Clone(e.out),
 		ClassID:  int(e.class),
 		ParentID: int(e.parent) - 1,
 		LaneI:    int(e.laneI),
@@ -469,7 +471,7 @@ func (e *entryRec) build() *NodeEntry {
 	}
 	if n.ParentID != -1 {
 		n.MergedClassID = int(e.merged)
-		n.MergedOutIDs = idMap(e.lanes, e.mergedOut)
+		n.MergedOutIDs = slices.Clone(e.mergedOut)
 	}
 	if len(e.children) > 0 {
 		n.Children = make([]ChildSummary, len(e.children))
@@ -478,13 +480,13 @@ func (e *entryRec) build() *NodeEntry {
 		}
 	}
 	if len(e.pathIDs) > 0 {
-		n.PathIDs = append([]uint64(nil), e.pathIDs...)
+		n.PathIDs = slices.Clone(e.pathIDs)
 		n.VInputs = make([]int, len(e.vInputs))
 		for i, v := range e.vInputs {
 			n.VInputs[i] = int(v)
 		}
 		if len(e.realBits) > 0 {
-			n.RealBits = append([]bool(nil), e.realBits...)
+			n.RealBits = slices.Clone(e.realBits)
 		}
 	}
 	for i, dst := range []**OperandSummary{&n.Left, &n.Right} {
@@ -503,8 +505,8 @@ func (c *childRec) build() ChildSummary {
 	return ChildSummary{
 		NodeID:        int(c.nodeID),
 		Lanes:         cloneLanes(c.lanes),
-		InIDs:         idMap(c.lanes, c.in),
-		MergedOutIDs:  idMap(c.lanes, c.mergedOut),
+		InIDs:         slices.Clone(c.in),
+		MergedOutIDs:  slices.Clone(c.mergedOut),
 		MergedClassID: int(c.class),
 	}
 }
@@ -514,8 +516,8 @@ func (o *operandRec) build() *OperandSummary {
 		NodeID:  int(o.nodeID),
 		Kind:    lanewidth.Kind(o.kind),
 		Lanes:   cloneLanes(o.lanes),
-		InIDs:   idMap(o.lanes, o.in),
-		OutIDs:  idMap(o.lanes, o.out),
+		InIDs:   slices.Clone(o.in),
+		OutIDs:  slices.Clone(o.out),
 		ClassID: int(o.class),
 		Input:   int(o.input),
 	}
@@ -527,12 +529,4 @@ func cloneLanes(lanes []int) []int {
 	out := make([]int, len(lanes))
 	copy(out, lanes)
 	return out
-}
-
-func idMap(lanes []int, ids []uint64) map[int]uint64 {
-	m := make(map[int]uint64, len(lanes))
-	for i, l := range lanes {
-		m[l] = ids[i]
-	}
-	return m
 }

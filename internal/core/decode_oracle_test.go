@@ -130,14 +130,24 @@ func oracleCEdge(r *bits.Reader) (*CEdgeLabel, error) {
 	return out, nil
 }
 
-func oracleIDMap(r *bits.Reader, lanes []int) (map[int]uint64, error) {
-	out := make(map[int]uint64, len(lanes))
+// oracleIDMap reads one id per lane through a map keyed by lane, as the
+// seed's id maps did, then lays the map out per lane. The collapse is what
+// defines canonicality for a lane listed twice: the map keeps the last id,
+// so differing ids re-encode differently and the oracle rejects them. Do
+// not read the ids straight into a slice here; that would widen the
+// oracle's accept set.
+func oracleIDMap(r *bits.Reader, lanes []int) ([]uint64, error) {
+	m := make(map[int]uint64, len(lanes))
 	for _, l := range lanes {
 		v, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
 		}
-		out[l] = v
+		m[l] = v
+	}
+	out := make([]uint64, len(lanes))
+	for i, l := range lanes {
+		out[i] = m[l]
 	}
 	return out, nil
 }
@@ -216,8 +226,8 @@ func oracleEntry(r *bits.Reader) (*NodeEntry, error) {
 		e.Children = append(e.Children, c)
 	}
 	if e.ParentID == -1 {
-		// Non-members carry no merged data; the zero map written by the
-		// encoder is consumed above and discarded here.
+		// Non-members carry no merged data; the zero ids written by the
+		// encoder are consumed above and discarded here.
 		e.MergedClassID = 0
 	} else {
 		e.MergedOutIDs = mergedOut

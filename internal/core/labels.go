@@ -12,7 +12,6 @@
 package core
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 
@@ -24,33 +23,28 @@ import (
 
 // ChildSummary is B(Tree-merge(T_child)) as carried on the edges of the
 // parent member (Lemma 6.5, T-node case). Sibling lane sets are disjoint,
-// so a member stores at most k of these.
+// so a member stores at most k of these. InIDs and MergedOutIDs are aligned
+// with Lanes: entry i belongs to lane Lanes[i].
 type ChildSummary struct {
 	NodeID        int
 	Lanes         []int
-	InIDs         map[int]uint64
-	MergedOutIDs  map[int]uint64
+	InIDs         []uint64
+	MergedOutIDs  []uint64
 	MergedClassID int
-
-	// Lane-ordered views of the ID maps, shared with the StructuralProof's
-	// node artifacts when the prover assembled this summary (nil on decoded
-	// or cloned labels, which fall back to the maps).
-	inSeq, mergedOutSeq []uint64
 }
 
 // OperandSummary is the basic information of a B-node operand (a V-node or
 // T-node), carried on the edges of the B-node's subgraph (Lemma 6.5,
-// B-node case).
+// B-node case). InIDs and OutIDs are aligned with Lanes: entry i belongs to
+// lane Lanes[i].
 type OperandSummary struct {
 	NodeID  int
 	Kind    lanewidth.Kind
 	Lanes   []int
-	InIDs   map[int]uint64
-	OutIDs  map[int]uint64
+	InIDs   []uint64
+	OutIDs  []uint64
 	ClassID int
 	Input   int // V-node operands: the vertex's input label
-
-	inSeq, outSeq []uint64 // lane-ordered views, see ChildSummary
 }
 
 // encCache memoizes a label component's canonical encoding. Labels are
@@ -97,18 +91,23 @@ func (c *encCache) fill(data []byte, nbits int, key string) {
 // NodeEntry is the basic information B(G) of one hierarchy node, stored on
 // every edge of the node's subgraph. An edge's certificate holds the entries
 // of the ≤ 2k nodes on its root-to-owner path (Observation 5.5).
+//
+// Lanes is the node's lane set in increasing order (the verifier rejects
+// any other), and every terminal identifier list (InIDs, OutIDs,
+// MergedOutIDs) is aligned with it: entry i belongs to lane Lanes[i]. A
+// non-member's MergedOutIDs is nil and encodes as one zero per lane.
 type NodeEntry struct {
 	NodeID  int
 	Kind    lanewidth.Kind
 	Lanes   []int
-	InIDs   map[int]uint64
-	OutIDs  map[int]uint64
+	InIDs   []uint64
+	OutIDs  []uint64
 	ClassID int
 
 	// Tree-member fields (set when the node is a member of a T-node's tree).
 	ParentID      int // enclosing T-node id
 	MergedClassID int
-	MergedOutIDs  map[int]uint64
+	MergedOutIDs  []uint64
 	Children      []ChildSummary
 
 	// E-node: PathIDs = [in, out]; RealBits[0] marks the edge real.
@@ -126,8 +125,6 @@ type NodeEntry struct {
 
 	// T-node: summary of its tree's root member.
 	RootMember *ChildSummary
-
-	inSeq, outSeq, mergedOutSeq []uint64 // lane-ordered views, see ChildSummary
 
 	cache encCache
 }
@@ -180,20 +177,20 @@ func (l *Labeling) MaxBits() int {
 
 // --- canonical encodings -------------------------------------------------
 
-// writeIDMap emits the map's ids in lane order. When the prover attached a
-// lane-ordered sequence (shared with the structure's artifacts), the ids
-// stream out without per-lane map lookups; the map path serves decoded and
-// cloned labels and is bit-identical.
-func writeIDMap(w *bits.Writer, lanes []int, m map[int]uint64, seq []uint64) {
-	if len(seq) == len(lanes) {
-		for _, id := range seq {
-			w.WriteUvarint(id)
-		}
-		return
+// writeIDs emits one id per lane from a list aligned with lanes. A short
+// list (a non-member's nil MergedOutIDs) reads as zeros past its end.
+func writeIDs(w *bits.Writer, lanes []int, ids []uint64) {
+	for i := range lanes {
+		w.WriteUvarint(idAt(ids, i))
 	}
-	for _, l := range lanes {
-		w.WriteUvarint(m[l])
+}
+
+// idAt returns ids[i], or 0 when i is negative or past the list's end.
+func idAt(ids []uint64, i int) uint64 {
+	if 0 <= i && i < len(ids) {
+		return ids[i]
 	}
+	return 0
 }
 
 func (c *ChildSummary) encode(w *bits.Writer) {
@@ -202,8 +199,8 @@ func (c *ChildSummary) encode(w *bits.Writer) {
 	for _, l := range c.Lanes {
 		w.WriteUvarint(uint64(l))
 	}
-	writeIDMap(w, c.Lanes, c.InIDs, c.inSeq)
-	writeIDMap(w, c.Lanes, c.MergedOutIDs, c.mergedOutSeq)
+	writeIDs(w, c.Lanes, c.InIDs)
+	writeIDs(w, c.Lanes, c.MergedOutIDs)
 	w.WriteUvarint(uint64(c.MergedClassID))
 }
 
@@ -214,8 +211,8 @@ func (o *OperandSummary) encode(w *bits.Writer) {
 	for _, l := range o.Lanes {
 		w.WriteUvarint(uint64(l))
 	}
-	writeIDMap(w, o.Lanes, o.InIDs, o.inSeq)
-	writeIDMap(w, o.Lanes, o.OutIDs, o.outSeq)
+	writeIDs(w, o.Lanes, o.InIDs)
+	writeIDs(w, o.Lanes, o.OutIDs)
 	w.WriteUvarint(uint64(o.ClassID))
 	w.WriteUvarint(uint64(o.Input))
 }
@@ -235,12 +232,12 @@ func (n *NodeEntry) encodeRaw(w *bits.Writer) {
 	for _, l := range n.Lanes {
 		w.WriteUvarint(uint64(l))
 	}
-	writeIDMap(w, n.Lanes, n.InIDs, n.inSeq)
-	writeIDMap(w, n.Lanes, n.OutIDs, n.outSeq)
+	writeIDs(w, n.Lanes, n.InIDs)
+	writeIDs(w, n.Lanes, n.OutIDs)
 	w.WriteUvarint(uint64(n.ClassID))
 	w.WriteUvarint(uint64(n.ParentID + 1))
 	w.WriteUvarint(uint64(n.MergedClassID))
-	writeIDMap(w, n.Lanes, n.MergedOutIDs, n.mergedOutSeq)
+	writeIDs(w, n.Lanes, n.MergedOutIDs)
 	w.WriteUvarint(uint64(len(n.Children)))
 	for i := range n.Children {
 		n.Children[i].encode(w)
@@ -384,41 +381,12 @@ func (l *EdgeLabel) encodeRaw(w *bits.Writer) {
 	}
 }
 
-// sortedLanes returns a sorted copy.
-func sortedLanes(lanes []int) []int {
-	out := append([]int(nil), lanes...)
-	sort.Ints(out)
-	return out
-}
-
-// lanesEqual compares two sorted lane slices.
-func lanesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func lanesDisjoint(a, b []int) bool {
 	for _, l := range a {
 		for _, m := range b {
 			if l == m {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func idMapEqual(lanes []int, a, b map[int]uint64) bool {
-	for _, l := range lanes {
-		if a[l] != b[l] {
-			return false
 		}
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/algebra"
@@ -497,7 +498,7 @@ func (enc *encoder) classID(nodeID int) int  { return enc.classIDs[nodeID] }
 func (enc *encoder) mergedID(nodeID int) int { return enc.mergedIDs[nodeID] }
 
 // childSummary assembles the Lemma 6.5 summary of a folded member: its
-// structural maps are shared with the artifact, only the class id is
+// lanes and identifiers are shared with the artifact, only the class id is
 // property-specific.
 func (enc *encoder) childSummary(nodeID int) ChildSummary {
 	ca := enc.sp.art[nodeID]
@@ -507,8 +508,6 @@ func (enc *encoder) childSummary(nodeID int) ChildSummary {
 		InIDs:         ca.inIDs,
 		MergedOutIDs:  ca.mergedOutIDs,
 		MergedClassID: enc.mergedID(nodeID),
-		inSeq:         ca.inSeq,
-		mergedOutSeq:  ca.mergedOutSeq,
 	}
 }
 
@@ -526,12 +525,9 @@ func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) (*NodeEntry, 
 	e.OutIDs = a.outIDs
 	e.ClassID = enc.classID(n.ID)
 	e.ParentID = -1
-	e.inSeq = a.inSeq
-	e.outSeq = a.outSeq
 	if a.member {
 		e.ParentID = a.parentID
 		e.MergedOutIDs = a.mergedOutIDs
-		e.mergedOutSeq = a.mergedOutSeq
 		e.MergedClassID = enc.mergedID(n.ID)
 		if len(a.treeChildren) > 0 {
 			e.Children = make([]ChildSummary, 0, len(a.treeChildren))
@@ -557,8 +553,6 @@ func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) (*NodeEntry, 
 				InIDs:   oa.inIDs,
 				OutIDs:  oa.outIDs,
 				ClassID: enc.classID(op.ID),
-				inSeq:   oa.inSeq,
-				outSeq:  oa.outSeq,
 			}
 			if op.Kind == lanewidth.VNode {
 				sum.Input = oa.input
@@ -810,7 +804,7 @@ func eNodeBGraph(lane int, real bool, inputs []int) *algebra.BGraph {
 }
 
 func pNodeBGraph(laneSet []int, realBits []bool, inputs []int) *algebra.BGraph {
-	ls := sortedLanes(laneSet)
+	ls := slices.Sorted(slices.Values(laneSet))
 	g := graph.New(len(ls))
 	el := map[graph.Edge]int{}
 	for i := 0; i+1 < len(ls); i++ {

@@ -74,8 +74,9 @@ type StructuralProof struct {
 
 	// owners maps every completion edge to its owning hierarchy node.
 	owners map[graph.Edge]*lanewidth.Node
-	// members holds each T-node's member infos (pre-order, root first).
-	members map[int][]lanewidth.MemberInfo
+	// members holds each T-node's member infos (pre-order, root first),
+	// indexed by node id (nil for other kinds).
+	members [][]lanewidth.MemberInfo
 	// embPaths orients each virtual edge's embedding path to start at the
 	// edge's U endpoint, pre-validated against the real edge set.
 	embPaths map[graph.Edge][]graph.Vertex
@@ -102,23 +103,21 @@ type StructuralProof struct {
 func (sp *StructuralProof) Stages() StageTimings { return sp.stages }
 
 // nodeArtifact is the property-independent part of one hierarchy node's
-// NodeEntry: identifier maps, lane sets, payload identifiers, real bits and
-// input labels. The maps and slices are shared read-only by every labeling
-// built from the same StructuralProof — per-property passes fill in only the
+// NodeEntry: lane set, terminal identifiers, payload identifiers, real bits
+// and input labels. The slices are shared read-only by every labeling built
+// from the same StructuralProof — per-property passes fill in only the
 // class ids.
 type nodeArtifact struct {
-	lanes  []int // sorted
-	inIDs  map[int]uint64
-	outIDs map[int]uint64
+	lanes []int // the node's sorted lane set (aliases lanewidth.Node.Lanes)
+	// Terminal identifiers aligned with lanes: inIDs[i], outIDs[i] and
+	// mergedOutIDs[i] belong to lane lanes[i].
+	inIDs, outIDs []uint64
 
-	// Lane-ordered views of the ID maps, spliced into entries so encoding
-	// streams ids without per-lane map lookups.
-	inSeq, outSeq, mergedOutSeq []uint64
-
-	// Tree-member data (member is false for nodes outside any T-node tree).
+	// Tree-member data (member is false for nodes outside any T-node tree;
+	// mergedOutIDs is nil then).
 	member       bool
 	parentID     int
-	mergedOutIDs map[int]uint64
+	mergedOutIDs []uint64
 	treeChildren []int
 
 	// E-/P-node payloads.
@@ -313,10 +312,19 @@ func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p 
 }
 
 // u64Arena carves small []uint64 views out of slab blocks, replacing the
-// three tiny allocations per hierarchy node the lane-ordered id sequences
-// used to cost. Views escape into the long-lived artifacts, so blocks are
+// three tiny allocations per hierarchy node the terminal id lists would
+// otherwise cost. Views escape into the long-lived artifacts, so blocks are
 // simply abandoned to the structure's lifetime rather than reclaimed.
 type u64Arena struct{ block []uint64 }
+
+// ids carves the identifiers of vs, in order.
+func (a *u64Arena) ids(cfg *cert.Config, vs []graph.Vertex) []uint64 {
+	out := a.alloc(len(vs))
+	for i, v := range vs {
+		out[i] = cfg.IDs[v]
+	}
+	return out
+}
 
 func (a *u64Arena) alloc(n int) []uint64 {
 	if n == 0 {
@@ -335,7 +343,7 @@ func (a *u64Arena) alloc(n int) []uint64 {
 }
 
 // buildArtifactsReuse derives the per-node boundary/order tables every
-// labeling shares — identifier maps in lane order, member folds, and the
+// labeling shares — terminal identifiers in lane order, member folds, and the
 // E-/P-node path payloads with their real bits and input labels — with three
 // escalating levels of carry-over from a previous generation (nil prev
 // disables all three):
@@ -361,8 +369,8 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 	if first > len(prevArt) {
 		first = len(prevArt)
 	}
-	memberInfo := make(map[int]lanewidth.MemberInfo)
-	rootMember := map[int]bool{}
+	memberInfo := make([]lanewidth.MemberInfo, len(h.Nodes))
+	rootMember := make([]bool, len(h.Nodes))
 	for tid, mis := range sp.members {
 		if tid < first && tid != h.Root.ID {
 			// Frozen T-nodes carry shallow member infos (no merged-out fold);
@@ -371,9 +379,7 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 		}
 		for _, mi := range mis {
 			memberInfo[mi.Node.ID] = mi
-			if tid == h.Root.ID {
-				rootMember[mi.Node.ID] = true
-			}
+			rootMember[mi.Node.ID] = tid == h.Root.ID
 		}
 	}
 	sp.art = make([]*nodeArtifact, len(h.Nodes))
@@ -409,14 +415,16 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 }
 
 // artifactBuilder bundles the read-only inputs of one buildArtifactsReuse
-// pass so per-node derivation can run on any goroutine.
+// pass so per-node derivation can run on any goroutine. memberInfo and
+// rootMember are indexed by node id; a node outside every non-frozen T-node
+// tree has a zero MemberInfo (nil Node).
 type artifactBuilder struct {
 	sp         *StructuralProof
 	prevArt    []*nodeArtifact
 	first      int
 	dirty      map[graph.Edge]bool
-	memberInfo map[int]lanewidth.MemberInfo
-	rootMember map[int]bool
+	memberInfo []lanewidth.MemberInfo
+	rootMember []bool
 	rootID     int
 }
 
@@ -439,14 +447,6 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
-func (ab *artifactBuilder) ids(m map[int]graph.Vertex) map[int]uint64 {
-	out := make(map[int]uint64, len(m))
-	for l, v := range m {
-		out[l] = ab.sp.Cfg.IDs[v]
-	}
-	return out
-}
-
 // frozenParent reports whether a previous artifact's member fold is frozen:
 // its parent T-node was created by a clean op. The root is never that
 // T-node: its id is reserved below any mark (see BuildHierarchyMark) but its
@@ -460,13 +460,6 @@ func (ab *artifactBuilder) frozenParent(pa *nodeArtifact) bool {
 // build derives (or carries over) one node's artifact into sp.art[n.ID].
 func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	sp, cfg, g := ab.sp, ab.sp.Cfg, ab.sp.Cfg.G
-	seq := func(lanes []int, m map[int]uint64) []uint64 {
-		out := arena.alloc(len(lanes))
-		for i, l := range lanes {
-			out[i] = m[l]
-		}
-		return out
-	}
 	var pa *nodeArtifact
 	if n.ID < ab.first && n != sp.Hierarchy.Root {
 		pa = ab.prevArt[n.ID]
@@ -479,33 +472,29 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	// payload halves are frozen (id below the mark), so the previous
 	// artifact stands whenever the member's fold — parent, tree children,
 	// merged out-terminals — matches the fresh member info. Comparing
-	// against the previous artifact directly skips building throwaway
-	// maps for the overwhelmingly common unchanged case.
+	// against the previous artifact directly skips building a throwaway
+	// artifact for the overwhelmingly common unchanged case.
 	if pa != nil && pa.member && pa.parentID == ab.rootID && ab.rootMember[n.ID] && !ab.ownsDirty(n) &&
 		memberFoldEqual(pa, ab.memberInfo[n.ID], cfg) {
 		sp.art[n.ID] = pa
 		return nil
 	}
 	a := &nodeArtifact{
-		lanes:      sortedLanes(n.Lanes),
-		inIDs:      ab.ids(n.In),
-		outIDs:     ab.ids(n.Out),
+		lanes:      n.Lanes,
+		inIDs:      arena.ids(cfg, n.In),
+		outIDs:     arena.ids(cfg, n.Out),
 		parentID:   -1,
 		rootMember: -1,
 	}
-	a.inSeq = seq(a.lanes, a.inIDs)
-	a.outSeq = seq(a.lanes, a.outIDs)
 	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
 		a.member = true
 		a.parentID = pa.parentID
 		a.mergedOutIDs = pa.mergedOutIDs
-		a.mergedOutSeq = pa.mergedOutSeq
 		a.treeChildren = pa.treeChildren
-	} else if mi, ok := ab.memberInfo[n.ID]; ok {
+	} else if mi := ab.memberInfo[n.ID]; mi.Node != nil {
 		a.member = true
 		a.parentID = n.Parent.ID
-		a.mergedOutIDs = ab.ids(mi.MergedOut)
-		a.mergedOutSeq = seq(a.lanes, a.mergedOutIDs)
+		a.mergedOutIDs = arena.ids(cfg, mi.MergedOut)
 		for _, child := range mi.TreeChildren {
 			a.treeChildren = append(a.treeChildren, child.ID)
 		}
@@ -514,10 +503,9 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	case lanewidth.VNode:
 		a.input = cfg.Input(n.Vertex)
 	case lanewidth.ENode:
-		l := n.Lanes[0]
-		a.pathIDs = []uint64{cfg.IDs[n.In[l]], cfg.IDs[n.Out[l]]}
+		a.pathIDs = []uint64{a.inIDs[0], a.outIDs[0]}
 		a.realBits = []bool{edgeReal(g, n.Edge)}
-		a.vInputs = []int{cfg.Input(n.In[l]), cfg.Input(n.Out[l])}
+		a.vInputs = []int{cfg.Input(n.In[0]), cfg.Input(n.Out[0])}
 	case lanewidth.PNode:
 		for _, v := range n.PathVs {
 			a.pathIDs = append(a.pathIDs, cfg.IDs[v])
@@ -544,7 +532,7 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 // compared — callers only consult it for nodes below the mark, whose payload
 // halves are frozen by construction.
 func memberFoldEqual(pa *nodeArtifact, mi lanewidth.MemberInfo, cfg *cert.Config) bool {
-	if len(pa.treeChildren) != len(mi.TreeChildren) {
+	if len(pa.treeChildren) != len(mi.TreeChildren) || len(pa.mergedOutIDs) != len(mi.MergedOut) {
 		return false
 	}
 	for i, c := range mi.TreeChildren {
@@ -552,13 +540,8 @@ func memberFoldEqual(pa *nodeArtifact, mi lanewidth.MemberInfo, cfg *cert.Config
 			return false
 		}
 	}
-	if len(pa.mergedOutIDs) != len(mi.MergedOut) {
-		return false
-	}
-	//lint:certlint ignore mapiter universal predicate with early false; the verdict is order independent
-	for l, v := range mi.MergedOut {
-		id, ok := pa.mergedOutIDs[l]
-		if !ok || id != cfg.IDs[v] {
+	for i, v := range mi.MergedOut {
+		if pa.mergedOutIDs[i] != cfg.IDs[v] {
 			return false
 		}
 	}
@@ -590,7 +573,7 @@ func (sp *StructuralProof) orientEmbedding() error {
 // first lane) — property-independent, shared by every labeling.
 func (sp *StructuralProof) buildPointing() error {
 	rm := sp.Hierarchy.Root.RootMember()
-	target := rm.In[sortedLanes(rm.Lanes)[0]]
+	target := rm.In[0]
 	pointing, err := cert.ProvePointing(sp.Cfg, target)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package lanewidth
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -43,12 +44,16 @@ func (k Kind) String() string {
 // are into the certified graph itself (merging never renames vertices, it
 // only glues identical ones), which is what makes local verification
 // possible.
+//
+// Lanes is strictly increasing (ValidateP checks it), and In and Out are
+// aligned with it position for position: In[i] and Out[i] are the in- and
+// out-terminal on lane Lanes[i] (Observation 5.5's basic information).
 type Node struct {
 	ID    int
 	Kind  Kind
-	Lanes []int                // sorted lane set T(G)
-	In    map[int]graph.Vertex // lane → in-terminal of the (merged) node
-	Out   map[int]graph.Vertex // lane → out-terminal of the (merged) node
+	Lanes []int          // sorted lane set T(G)
+	In    []graph.Vertex // in-terminals of the (merged) node, aligned with Lanes
+	Out   []graph.Vertex // out-terminals of the (merged) node, aligned with Lanes
 
 	// Kind-specific payloads.
 	Vertex graph.Vertex   // VNode: the unique vertex
@@ -101,7 +106,7 @@ func BuildHierarchy(g *graph.Graph, log OpLog) (*Hierarchy, error) {
 // transcript. The construction is a deterministic replay and node ids are
 // creation order, so any two transcripts sharing that prefix (same K, Heads
 // and first cleanOps ops — see OpLog.Divergence) create nodes 0..first-1
-// with identical payloads, lane sets and terminal maps, and identical
+// with identical payloads, lane sets and terminals, and identical
 // internal trees for T-nodes among them (wrapTNode freezes a subtree; later
 // operations may re-attach a frozen T-node but never mutate inside it). Only
 // a node's Parent pointer may differ, since it is fixed by the final root
@@ -127,12 +132,11 @@ func BuildHierarchyMark(g *graph.Graph, log OpLog, cleanOps int) (*Hierarchy, in
 
 	// Base case: the initial path as a P-node inside the working tree.
 	p := b.newNode(PNode)
-	p.PathVs = append([]graph.Vertex(nil), log.Heads...)
-	for i, v := range log.Heads {
+	p.PathVs = slices.Clone(log.Heads)
+	for i := range log.Heads {
 		p.Lanes = append(p.Lanes, i)
-		p.In[i] = v
-		p.Out[i] = v
 	}
+	p.In, p.Out = p.PathVs, p.PathVs
 	b.top = &TreeVertex{Node: p}
 	b.owner = make([]*TreeVertex, log.K)
 	designated := make([]graph.Vertex, log.K)
@@ -154,8 +158,8 @@ func BuildHierarchyMark(g *graph.Graph, log OpLog, cleanOps int) (*Hierarchy, in
 			e := b.newNode(ENode)
 			e.Edge = graph.NewEdge(op.U, op.V)
 			e.Lanes = []int{op.I}
-			e.In[op.I] = op.U
-			e.Out[op.I] = op.V
+			e.In = []graph.Vertex{op.U}
+			e.Out = []graph.Vertex{op.V}
 			tv := &TreeVertex{Node: e, parent: b.owner[op.I], depth: b.owner[op.I].depth + 1}
 			b.owner[op.I].Children = append(b.owner[op.I].Children, tv)
 			b.owner[op.I] = tv
@@ -196,12 +200,7 @@ type hBuilder struct {
 type hierarchyRef = Hierarchy
 
 func (b *hBuilder) newNode(k Kind) *Node {
-	n := &Node{
-		ID:   len(b.h.Nodes),
-		Kind: k,
-		In:   map[int]graph.Vertex{},
-		Out:  map[int]graph.Vertex{},
-	}
+	n := &Node{ID: len(b.h.Nodes), Kind: k}
 	b.h.Nodes = append(b.h.Nodes, n)
 	return n
 }
@@ -220,8 +219,8 @@ func (b *hBuilder) eInsert(i, j int, u, v graph.Vertex) error {
 			vn := b.newNode(VNode)
 			vn.Vertex = tau
 			vn.Lanes = []int{lane}
-			vn.In[lane] = tau
-			vn.Out[lane] = tau
+			vn.In = []graph.Vertex{tau}
+			vn.Out = vn.In
 			return vn, nil
 		}
 		// T-node wrapping the subtree rooted at the child of lca that is an
@@ -239,10 +238,13 @@ func (b *hBuilder) eInsert(i, j int, u, v graph.Vertex) error {
 	bn.LaneI, bn.LaneJ = i, j
 	bn.Bridge = graph.NewEdge(u, v)
 	bn.Lanes = unionSorted(left.Lanes, right.Lanes)
+	bn.In = make([]graph.Vertex, len(bn.Lanes))
+	bn.Out = make([]graph.Vertex, len(bn.Lanes))
 	for _, operand := range []*Node{left, right} {
-		for _, l := range operand.Lanes {
-			bn.In[l] = operand.In[l]
-			bn.Out[l] = operand.Out[l]
+		for i, l := range operand.Lanes {
+			j := laneIndex(bn.Lanes, l)
+			bn.In[j] = operand.In[i]
+			bn.Out[j] = operand.Out[i]
 		}
 	}
 
@@ -281,33 +283,32 @@ func (b *hBuilder) wrapTNode(root *TreeVertex) *Node {
 func (b *hBuilder) fillTNode(t *Node, root *TreeVertex) {
 	t.Tree = root
 	root.parent = nil
-	t.Lanes = append([]int(nil), root.Node.Lanes...)
-	for _, l := range t.Lanes {
-		t.In[l] = root.Node.In[l]
-		t.Out[l] = mergedOutLane(root, l)
+	t.Lanes = slices.Clone(root.Node.Lanes)
+	t.In = slices.Clone(root.Node.In)
+	t.Out = make([]graph.Vertex, len(t.Lanes))
+	for i := range t.Lanes {
+		t.Out[i] = mergedOutLane(root, i)
 	}
 }
 
-// mergedOutLane computes one lane's out-terminal of Tree-merge(subtree at
-// tv): the lane's out-terminal of the deepest vertex on the lane's child
-// chain (sibling lane sets are disjoint, so at most one child covers the
-// lane at each step). Descending per lane costs no allocation, unlike a
-// subtree fold, which matters because every E-insert of the transcript
-// replay wraps a subtree.
-func mergedOutLane(tv *TreeVertex, l int) graph.Vertex {
+// mergedOutLane computes the out-terminal of Tree-merge(subtree at tv) on
+// the lane at position i of tv's lane set: the lane's out-terminal of the
+// deepest vertex on the lane's child chain (sibling lane sets are disjoint,
+// so at most one child covers the lane at each step). Descending per lane
+// costs no allocation, unlike a subtree fold, which matters because every
+// E-insert of the transcript replay wraps a subtree.
+func mergedOutLane(tv *TreeVertex, i int) graph.Vertex {
+	l := tv.Node.Lanes[i]
 	for {
-		var next *TreeVertex
-	children:
+		next := tv
 		for _, c := range tv.Children {
-			for _, cl := range c.Node.Lanes {
-				if cl == l {
-					next = c
-					break children
-				}
+			if j := laneIndex(c.Node.Lanes, l); j >= 0 {
+				next, i = c, j
+				break
 			}
 		}
-		if next == nil {
-			return tv.Node.Out[l]
+		if next == tv {
+			return tv.Node.Out[i]
 		}
 		tv = next
 	}
@@ -365,26 +366,18 @@ func inSubtree(x, root *TreeVertex) bool {
 }
 
 func unionSorted(a, b []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, l := range a {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// laneIndex returns l's position in a sorted lane set, or -1 when the set
+// does not contain l.
+func laneIndex(lanes []int, l int) int {
+	if i, ok := slices.BinarySearch(lanes, l); ok {
+		return i
 	}
-	for _, l := range b {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return -1
 }
 
 // setParents fixes the H-parent pointers: a T-node is the parent of its tree

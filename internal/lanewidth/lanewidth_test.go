@@ -2,6 +2,7 @@ package lanewidth
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -396,4 +397,44 @@ func randomConnectedIntervalGraph(rng *rand.Rand, n, k int) (*graph.Graph, *inte
 		active = append(active[:idx], active[idx+1:]...)
 	}
 	return g, r
+}
+
+// TestValidateRejectsUnsortedLanes pins the sorted-lanes invariant the Node
+// doc promises and core relies on (artifacts alias Lanes without sorting):
+// a node whose lanes are listed out of order, with terminals still aligned,
+// fails validation, and so does a node with fewer terminals than lanes.
+func TestValidateRejectsUnsortedLanes(t *testing.T) {
+	build := func() (*Hierarchy, *Node) {
+		b := figure10Builder(t)
+		h, err := BuildHierarchy(b.Graph(), b.Log())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ValidateP(2); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range h.Nodes {
+			if n.Kind == PNode {
+				return h, n
+			}
+		}
+		t.Fatal("no P-node in the Figure 10 hierarchy")
+		return nil, nil
+	}
+
+	h, p := build()
+	p.Lanes = []int{p.Lanes[2], p.Lanes[1], p.Lanes[0]}
+	p.In = []graph.Vertex{p.In[2], p.In[1], p.In[0]}
+	p.Out = []graph.Vertex{p.Out[2], p.Out[1], p.Out[0]}
+	err := h.ValidateP(2)
+	if err == nil || !strings.Contains(err.Error(), "not strictly increasing") {
+		t.Fatalf("unsorted lanes: got %v", err)
+	}
+
+	h, p = build()
+	p.In = p.In[:len(p.In)-1]
+	err = h.ValidateP(2)
+	if err == nil || !strings.Contains(err.Error(), "terminals for") {
+		t.Fatalf("short in-terminal list: got %v", err)
+	}
 }

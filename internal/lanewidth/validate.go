@@ -2,6 +2,7 @@ package lanewidth
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -133,34 +134,35 @@ func (n *Node) SubtreeEdges() []graph.Edge {
 
 // MemberInfo describes one member of a T-node's internal tree: the member
 // node, its tree parent (nil for the tree root), its tree children, and the
-// out-terminals of Tree-merge applied to its subtree.
+// out-terminals of Tree-merge applied to its subtree. MergedOut is aligned
+// with Node.Lanes: MergedOut[i] is the merged out-terminal on lane
+// Node.Lanes[i].
 type MemberInfo struct {
 	Node         *Node
 	TreeParent   *Node
 	TreeChildren []*Node
-	MergedOut    map[int]graph.Vertex
+	MergedOut    []graph.Vertex
 }
 
 // Members returns the member infos of a T-node's tree, root first. The
 // merged out-terminals of all members are computed in one post-order pass
-// (each member's map is assembled from its children's already-computed
-// maps), so the whole call is O(members · k) rather than quadratic in the
+// (each member's list is assembled from its children's already-computed
+// lists), so the whole call is O(members · k) rather than quadratic in the
 // member count.
 func (h *Hierarchy) Members(t *Node) []MemberInfo {
 	if t.Kind != TNode {
 		return nil
 	}
-	merged := map[*TreeVertex]map[int]graph.Vertex{}
-	var fold func(tv *TreeVertex) map[int]graph.Vertex
-	fold = func(tv *TreeVertex) map[int]graph.Vertex {
-		out := make(map[int]graph.Vertex, len(tv.Node.Out))
-		for l, w := range tv.Node.Out {
-			out[l] = w
-		}
+	merged := map[*TreeVertex][]graph.Vertex{}
+	var fold func(tv *TreeVertex) []graph.Vertex
+	fold = func(tv *TreeVertex) []graph.Vertex {
+		out := slices.Clone(tv.Node.Out)
 		for _, c := range tv.Children {
 			sub := fold(c)
-			for _, l := range c.Node.Lanes {
-				out[l] = sub[l]
+			for j, l := range c.Node.Lanes {
+				if i := laneIndex(tv.Node.Lanes, l); i >= 0 {
+					out[i] = sub[j]
+				}
 			}
 		}
 		merged[tv] = out
@@ -201,7 +203,8 @@ func (t *Node) RootMember() *Node {
 //
 //  1. every graph edge is owned by exactly one node, and every owned edge
 //     exists in the graph;
-//  2. each node's terminal maps are consistent with its kind;
+//  2. each node's lane set is non-empty and strictly increasing, with one
+//     in- and one out-terminal per lane, consistent with its kind;
 //  3. T-node trees satisfy the Tree-merge conditions: child lane sets are
 //     subsets of their parent node's, siblings have disjoint lane sets, and
 //     child in-terminals glue onto parent out-terminals;
@@ -261,6 +264,28 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 		return fmt.Errorf("lanewidth: %d owned edges for %d graph edges", len(owned), h.Graph.M())
 	}
 
+	// 2. Lane sets and terminals. Every non-frozen node has a non-empty,
+	// strictly increasing lane set and one in- and one out-terminal per
+	// lane; the checks below index terminals by lane position on that basis.
+	// Frozen nodes (id < first) were checked by the previous generation.
+	for _, n := range h.Nodes {
+		if n.ID < first && n != h.Root {
+			continue
+		}
+		if len(n.Lanes) == 0 {
+			return fmt.Errorf("lanewidth: node %d has empty lane set", n.ID)
+		}
+		for i := 1; i < len(n.Lanes); i++ {
+			if n.Lanes[i] <= n.Lanes[i-1] {
+				return fmt.Errorf("lanewidth: node %d lane set %v is not strictly increasing", n.ID, n.Lanes)
+			}
+		}
+		if len(n.In) != len(n.Lanes) || len(n.Out) != len(n.Lanes) {
+			return fmt.Errorf("lanewidth: node %d has %d in- and %d out-terminals for %d lanes",
+				n.ID, len(n.In), len(n.Out), len(n.Lanes))
+		}
+	}
+
 	// 2–4. Per-node checks. Frozen nodes (id < first) short-circuit: their own
 	// invariants and everything inside them were validated by the previous
 	// generation; only the relations a non-frozen ancestor imposes on them
@@ -270,26 +295,14 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 		if n.ID < first && n != h.Root {
 			return nil
 		}
-		if len(n.Lanes) == 0 {
-			return fmt.Errorf("lanewidth: node %d has empty lane set", n.ID)
-		}
-		for _, l := range n.Lanes {
-			if _, ok := n.In[l]; !ok {
-				return fmt.Errorf("lanewidth: node %d lane %d missing in-terminal", n.ID, l)
-			}
-			if _, ok := n.Out[l]; !ok {
-				return fmt.Errorf("lanewidth: node %d lane %d missing out-terminal", n.ID, l)
-			}
-		}
 		switch n.Kind {
 		case VNode:
-			if len(n.Lanes) != 1 || n.In[n.Lanes[0]] != n.Vertex || n.Out[n.Lanes[0]] != n.Vertex {
+			if len(n.Lanes) != 1 || n.In[0] != n.Vertex || n.Out[0] != n.Vertex {
 				return fmt.Errorf("lanewidth: malformed V-node %d", n.ID)
 			}
 		case ENode:
-			l := n.Lanes[0]
-			if len(n.Lanes) != 1 || n.In[l] == n.Out[l] ||
-				graph.NewEdge(n.In[l], n.Out[l]) != n.Edge {
+			if len(n.Lanes) != 1 || n.In[0] == n.Out[0] ||
+				graph.NewEdge(n.In[0], n.Out[0]) != n.Edge {
 				return fmt.Errorf("lanewidth: malformed E-node %d", n.ID)
 			}
 		case PNode:
@@ -297,7 +310,7 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 				return fmt.Errorf("lanewidth: malformed P-node %d", n.ID)
 			}
 			for idx, l := range n.Lanes {
-				if n.In[l] != n.PathVs[idx] || n.Out[l] != n.PathVs[idx] {
+				if n.In[idx] != n.PathVs[idx] || n.Out[idx] != n.PathVs[idx] {
 					return fmt.Errorf("lanewidth: P-node %d terminal mismatch on lane %d", n.ID, l)
 				}
 			}
@@ -315,7 +328,11 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 					}
 				}
 			}
-			if graph.NewEdge(n.Left.Out[n.LaneI], n.Right.Out[n.LaneJ]) != n.Bridge {
+			i, j := laneIndex(n.Left.Lanes, n.LaneI), laneIndex(n.Right.Lanes, n.LaneJ)
+			if i < 0 || j < 0 {
+				return fmt.Errorf("lanewidth: B-node %d merge lanes %d,%d not in its operands", n.ID, n.LaneI, n.LaneJ)
+			}
+			if graph.NewEdge(n.Left.Out[i], n.Right.Out[j]) != n.Bridge {
 				return fmt.Errorf("lanewidth: B-node %d bridge does not join out-terminals", n.ID)
 			}
 			if err := check(n.Left); err != nil {
@@ -339,10 +356,10 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 					if !laneSubset(c.Node.Lanes, tv.Node.Lanes) {
 						return fmt.Errorf("lanewidth: T-node %d: child lanes ⊄ parent lanes", n.ID)
 					}
-					for _, l := range c.Node.Lanes {
-						if c.Node.In[l] != tv.Node.Out[l] {
+					for j, l := range c.Node.Lanes {
+						if out := tv.Node.Out[laneIndex(tv.Node.Lanes, l)]; c.Node.In[j] != out {
 							return fmt.Errorf("lanewidth: T-node %d: lane %d child in-terminal %d ≠ parent out-terminal %d",
-								n.ID, l, c.Node.In[l], tv.Node.Out[l])
+								n.ID, l, c.Node.In[j], out)
 						}
 					}
 					for _, sib := range tv.Children[:ci] {
@@ -490,14 +507,7 @@ func (s *connScratch) walk(tv *TreeVertex) {
 
 func laneSubset(sub, super []int) bool {
 	for _, l := range sub {
-		found := false
-		for _, m := range super {
-			if l == m {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if laneIndex(super, l) < 0 {
 			return false
 		}
 	}
@@ -511,53 +521,37 @@ func max(a, b int) int {
 	return b
 }
 
-// MembersByTNode computes Members for every T-node of the hierarchy in one
-// pass, keyed by T-node id. It is the bulk accessor backing the
-// property-independent StructuralProof layer in core: the member tables are
-// computed once per structure and shared read-only by every per-property
-// labeling pass instead of being re-derived per property.
-func (h *Hierarchy) MembersByTNode() map[int][]MemberInfo {
-	return h.MembersByTNodeFrom(0)
-}
-
-// MembersByTNodeFrom is MembersByTNode with the merged-out-terminal fold —
-// the expensive part — elided for frozen T-nodes (id < first, see
-// BuildHierarchyMark): their entries carry the member order and tree
-// children but a nil MergedOut. The incremental structure rebuild reads
-// MergedOut only for members of non-frozen T-nodes (frozen members' folds
-// are carried over from the previous generation's artifacts), while the
-// class sweep reads only order and children, so the shallow entries lose
-// nothing it needs. MembersByTNodeFrom(0) computes every fold.
-func (h *Hierarchy) MembersByTNodeFrom(first int) map[int][]MemberInfo {
-	return h.MembersByTNodeFromP(first, 1)
-}
-
-// MembersByTNodeFromP is MembersByTNodeFrom with the per-T-node folds
-// distributed over a worker pool. Folds of distinct T-nodes are independent
-// (each reads only its own tree), so the result is identical for every
-// workers value.
-func (h *Hierarchy) MembersByTNodeFromP(first, workers int) map[int][]MemberInfo {
-	var tnodes []*Node
-	for _, n := range h.Nodes {
-		if n.Kind == TNode {
-			tnodes = append(tnodes, n)
-		}
-	}
-	results := make([][]MemberInfo, len(tnodes))
-	par.For(workers, len(tnodes), func(_, i int) {
-		n := tnodes[i]
-		if n.ID < first && n != h.Root {
-			results[i] = h.membersShallow(n)
-		} else {
+// MembersByTNodeFromP computes Members for every T-node of the hierarchy,
+// indexed by node id (nil for every other kind). It is the bulk accessor
+// backing the property-independent StructuralProof layer in core: the
+// member tables are computed once per structure and shared read-only by
+// every per-property labeling pass instead of being re-derived per property.
+//
+// The merged-out-terminal fold — the expensive part — is elided for frozen
+// T-nodes (id < first, see BuildHierarchyMark): their entries carry the
+// member order and tree children but a nil MergedOut. The incremental
+// structure rebuild reads MergedOut only for members of non-frozen T-nodes
+// (frozen members' folds are carried over from the previous generation's
+// artifacts), while the class sweep reads only order and children, so the
+// shallow entries lose nothing it needs. first = 0 computes every fold.
+//
+// Folds of distinct T-nodes are independent (each reads only its own tree)
+// and run on a pool of workers goroutines; the result is identical for
+// every workers value.
+func (h *Hierarchy) MembersByTNodeFromP(first, workers int) [][]MemberInfo {
+	out := make([][]MemberInfo, len(h.Nodes))
+	par.For(workers, len(h.Nodes), func(_, i int) {
+		n := h.Nodes[i]
+		switch {
+		case n.Kind != TNode:
+		case n.ID < first && n != h.Root:
+			out[i] = h.membersShallow(n)
+		default:
 			// The root's id is reserved (always 0, below any mark) but its
 			// tree is rebuilt every generation, so it always gets the fold.
-			results[i] = h.Members(n)
+			out[i] = h.Members(n)
 		}
 	})
-	out := make(map[int][]MemberInfo, len(tnodes))
-	for i, n := range tnodes {
-		out[n.ID] = results[i]
-	}
 	return out
 }
 
