@@ -1,12 +1,14 @@
 package certify
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	mathbits "math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"unicode/utf8"
 
@@ -34,8 +36,9 @@ import (
 // ErrBadCertificate — and a decoded certificate re-marshals
 // byte-identically. Each labeling is decoded by one core.LabelDecoder, so a
 // decoded certificate shares node entries and completion-edge certificates
-// by content the way a freshly proved one does, and their encodings are
-// taken from the input bytes rather than recomputed.
+// by content the way a freshly proved one does. Their cached encodings are
+// copied from the input bits rather than recomputed; edge labels cache no
+// bytes and are spliced together from those on every marshal.
 type Certificate struct {
 	maxLanes    int
 	n, m        int
@@ -133,54 +136,75 @@ func fingerprint(cfg *cert.Config) uint64 {
 	return h.Sum64()
 }
 
-// MarshalBinary encodes the certificate into the versioned wire format.
+// MarshalBinary encodes the certificate into the versioned wire format. It
+// sizes the blob from the labels' memoized Bits accounting, which encodes
+// nothing, allocates it once, and writes each label's bytes straight into
+// it with core.AppendLabel. A label whose encoding disagrees with its
+// accounted bit count fails the marshal rather than yield a corrupt blob.
 func (c *Certificate) MarshalBinary() ([]byte, error) {
 	if len(c.props) == 0 {
 		return nil, fmt.Errorf("%w: cannot marshal an empty certificate", ErrBadConfig)
 	}
-	out := []byte(certMagic)
-	out = append(out, certVersion)
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		out = append(out, buf[:n]...)
-	}
-	put(uint64(c.maxLanes))
-	put(uint64(c.n))
-	put(uint64(c.m))
-	var fp [8]byte
-	binary.BigEndian.PutUint64(fp[:], c.fingerprint)
-	out = append(out, fp[:]...)
-	put(uint64(len(c.props)))
-	for _, name := range c.props {
+	size := len(certMagic) + 1 + uvarintLen(c.maxLanes) + uvarintLen(c.n) + uvarintLen(c.m) +
+		8 + uvarintLen(len(c.props)) + 4
+	edges := make([][]graph.Edge, len(c.props))
+	for i, name := range c.props {
 		l, ok := c.labelings[name]
 		if !ok {
 			return nil, fmt.Errorf("%w: certificate lists property %q without a labeling", ErrBadCertificate, name)
 		}
-		put(uint64(len(name)))
-		out = append(out, name...)
-		edges := make([]graph.Edge, 0, len(l.Edges))
-		for e := range l.Edges {
-			edges = append(edges, e)
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].U != edges[j].U {
-				return edges[i].U < edges[j].U
-			}
-			return edges[i].V < edges[j].V
-		})
-		put(uint64(len(edges)))
-		for _, e := range edges {
-			data, nbits := core.EncodeLabel(l.Edges[e])
-			put(uint64(e.U))
-			put(uint64(e.V))
-			put(uint64(nbits))
-			out = append(out, data...)
+		edges[i] = sortedEdges(l)
+		size += uvarintLen(len(name)) + len(name) + uvarintLen(len(edges[i]))
+		for _, e := range edges[i] {
+			nbits := l.Edges[e].Bits()
+			size += uvarintLen(e.U) + uvarintLen(e.V) + uvarintLen(nbits) + (nbits+7)/8
 		}
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out))
-	return append(out, crc[:]...), nil
+	out := make([]byte, 0, size)
+	out = append(out, certMagic...)
+	out = append(out, certVersion)
+	out = binary.AppendUvarint(out, uint64(c.maxLanes))
+	out = binary.AppendUvarint(out, uint64(c.n))
+	out = binary.AppendUvarint(out, uint64(c.m))
+	out = binary.BigEndian.AppendUint64(out, c.fingerprint)
+	out = binary.AppendUvarint(out, uint64(len(c.props)))
+	for i, name := range c.props {
+		l := c.labelings[name]
+		out = binary.AppendUvarint(out, uint64(len(name)))
+		out = append(out, name...)
+		out = binary.AppendUvarint(out, uint64(len(edges[i])))
+		for _, e := range edges[i] {
+			el := l.Edges[e]
+			nbits := el.Bits()
+			out = binary.AppendUvarint(out, uint64(e.U))
+			out = binary.AppendUvarint(out, uint64(e.V))
+			out = binary.AppendUvarint(out, uint64(nbits))
+			var got int
+			if out, got = core.AppendLabel(out, el); got != nbits {
+				return nil, fmt.Errorf("%w: label for edge %v of %q encodes %d bits, accounted %d",
+					ErrBadCertificate, e, name, got, nbits)
+			}
+		}
+	}
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
+}
+
+// uvarintLen returns the byte length of v as a minimal unsigned varint.
+func uvarintLen(v int) int {
+	return (mathbits.Len64(uint64(v)|1) + 6) / 7
+}
+
+// sortedEdges returns a labeling's edges sorted by endpoints, the wire
+// order.
+func sortedEdges(l *core.Labeling) []graph.Edge {
+	edges := make([]graph.Edge, 0, len(l.Edges))
+	for e := range l.Edges {
+		edges = append(edges, e)
+	}
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return edges
 }
 
 // UnmarshalBinary strictly decodes a certificate previously produced by
@@ -188,8 +212,10 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 // version, truncation, bit flips (caught by the CRC trailer), non-minimal
 // varints, non-canonical label payloads, duplicate edges or properties, or
 // trailing bytes — fails with an error matching ErrBadCertificate. On
-// success the receiver re-marshals byte-identically. The decoded labels
-// keep their own copies of the label bytes; data is not retained.
+// success the receiver re-marshals byte-identically. data is not retained:
+// decoded node entries and completion-edge certificates hold their canonical
+// encodings as strings copied from it, and edge labels hold no bytes at all
+// (MarshalBinary re-assembles them from those shared encodings).
 func (c *Certificate) UnmarshalBinary(data []byte) error {
 	bad := func(format string, args ...any) error {
 		return wrapErr(ErrBadCertificate, fmt.Errorf(format, args...))
@@ -407,20 +433,20 @@ func (c *Certificate) EncodedLabels(property string) ([]LabelBlob, bool) {
 	if !ok {
 		return nil, false
 	}
-	edges := make([]graph.Edge, 0, len(l.Edges))
-	for e := range l.Edges {
-		edges = append(edges, e)
+	edges := sortedEdges(l)
+	size := 0
+	for _, e := range edges {
+		size += (l.Edges[e].Bits() + 7) / 8
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	// One backing buffer for every blob; each Data is capped at its own end,
+	// so appending to one blob never writes into the next.
+	buf := make([]byte, 0, size)
 	out := make([]LabelBlob, len(edges))
 	for i, e := range edges {
-		data, nbits := core.EncodeLabel(l.Edges[e])
-		out[i] = LabelBlob{U: e.U, V: e.V, Bits: nbits, Data: data}
+		start := len(buf)
+		var nbits int
+		buf, nbits = core.AppendLabel(buf, l.Edges[e])
+		out[i] = LabelBlob{U: e.U, V: e.V, Bits: nbits, Data: buf[start:len(buf):len(buf)]}
 	}
 	return out, true
 }

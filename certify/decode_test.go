@@ -5,14 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// ladderBlob proves {bipartite, matching} on a 256-vertex ladder — the
-// largest certificate certifyd's round-trip workload uploads — and marshals
-// it.
-func ladderBlob(tb testing.TB) []byte {
+// ladderCert proves {bipartite, matching} on a 256-vertex ladder — the
+// largest certificate certifyd's round-trip workload uploads.
+func ladderCert(tb testing.TB) *Certificate {
 	tb.Helper()
 	props, err := PropertiesByName("bipartite", "matching")
 	if err != nil {
@@ -26,7 +26,13 @@ func ladderBlob(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	blob, err := crt.MarshalBinary()
+	return crt
+}
+
+// ladderBlob marshals the ladderCert certificate.
+func ladderBlob(tb testing.TB) []byte {
+	tb.Helper()
+	blob, err := ladderCert(tb).MarshalBinary()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,6 +51,102 @@ func BenchmarkUnmarshalBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMarshalBinary encodes the ladder certificate. "cold" marshals a
+// fresh ProveBatch result (the prove runs outside the timer), as certifyd's
+// prove handler does; "warm" re-marshals a certificate whose component
+// encodings are already cached.
+func BenchmarkMarshalBinary(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			crt := ladderCert(b)
+			b.StartTimer()
+			blob, err := crt.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(blob)))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		crt := ladderCert(b)
+		blob, err := crt.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := crt.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestWarmMarshalAllocations bounds what a warm re-marshal allocates: the
+// blob itself plus 64 KiB of bookkeeping (the sorted edge lists), so no
+// per-label copy creeps back into the encode path. It covers a fresh proof
+// and a decoded certificate, and takes the smallest of a few runs so a
+// stray background allocation cannot fail it.
+func TestWarmMarshalAllocations(t *testing.T) {
+	fresh := ladderCert(t)
+	blob, err := fresh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Certificate
+	if err := decoded.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	for name, crt := range map[string]*Certificate{"fresh": fresh, "decoded": &decoded} {
+		if _, err := crt.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(1 << 63)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			again, err := crt.MarshalBinary()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Fatalf("%s: re-marshal differs from the first blob", name)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(len(blob) + 64<<10); least > limit {
+			t.Errorf("%s: warm marshal of a %d-byte blob allocated %d bytes, want ≤ %d",
+				name, len(blob), least, limit)
+		}
+	}
+}
+
+// TestMarshalRejectsStaleAccounting mutates a label after its size was
+// accounted (labels are immutable by contract) and checks that
+// MarshalBinary refuses it rather than write a bit count that disagrees
+// with the label bytes that follow it.
+func TestMarshalRejectsStaleAccounting(t *testing.T) {
+	crt := ladderCert(t)
+	for _, el := range crt.labelings[crt.props[0]].Edges {
+		if el.Pointing == nil {
+			continue
+		}
+		el.Bits()
+		p := *el.Pointing
+		p.X += 1 << 20
+		el.Pointing = &p
+		if _, err := crt.MarshalBinary(); !errors.Is(err, ErrBadCertificate) {
+			t.Fatalf("marshal of a label changed after accounting: err = %v, want ErrBadCertificate", err)
+		}
+		return
+	}
+	t.Fatal("no label carries a pointing label")
 }
 
 // padField re-emits an honest blob with the first occurrence of one outer

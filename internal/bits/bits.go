@@ -8,12 +8,22 @@ import (
 	"errors"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 )
 
-// Writer accumulates bits most-significant-first.
+// Writer accumulates bits most-significant-first. The zero value writes into
+// a fresh buffer; NewWriter appends into a caller's buffer.
 type Writer struct {
 	buf   []byte
+	base  int // bytes of buf before the bit stream (the caller's prefix)
 	nbits int
+}
+
+// NewWriter returns a Writer whose bit stream starts on a fresh byte right
+// after dst's contents, appending into dst's storage as append would. Buf
+// returns the prefix followed by the bits; Bits counts only the bits.
+func NewWriter(dst []byte) *Writer {
+	return &Writer{buf: dst, base: len(dst)}
 }
 
 // WriteBit appends one bit.
@@ -22,7 +32,7 @@ func (w *Writer) WriteBit(b bool) {
 		w.buf = append(w.buf, 0)
 	}
 	if b {
-		w.buf[w.nbits/8] |= 1 << uint(7-w.nbits%8)
+		w.buf[len(w.buf)-1] |= 1 << uint(7-w.nbits%8)
 	}
 	w.nbits++
 }
@@ -83,33 +93,56 @@ func (w *Writer) WriteUvarint(v uint64) {
 	w.writeBits(v, width)                    // value bits below the leading 1
 }
 
-// WriteChunk appends a pre-encoded bit sequence (buf, nbits) as previously
-// produced by a Writer, bit-for-bit identical to replaying the original
-// writes. Byte-aligned chunks are copied wholesale; unaligned chunks are
-// shift-merged byte by byte, so appending a cached encoding costs O(bytes)
-// instead of O(bits).
-func (w *Writer) WriteChunk(buf []byte, nbits int) {
+// WriteChunk appends a pre-encoded bit sequence (chunk, nbits) as
+// previously produced by a Writer, bit-for-bit identical to replaying the
+// original writes. Only chunk's first ⌈nbits/8⌉ bytes are read (encoding
+// caches keep more after them), and their padding bits must be zero.
+// Byte-aligned chunks are copied wholesale; unaligned chunks are
+// shift-merged a 64-bit word at a time into a buffer grown once, so
+// appending a cached encoding costs O(bytes/8) instead of O(bits).
+func (w *Writer) WriteChunk(chunk string, nbits int) {
 	if nbits == 0 {
 		return
 	}
 	nbytes := (nbits + 7) / 8
 	shift := uint(w.nbits % 8)
 	if shift == 0 {
-		w.buf = append(w.buf, buf[:nbytes]...)
+		w.buf = append(w.buf, chunk[:nbytes]...)
 		w.nbits += nbits
 		return
 	}
+	// The stream's last byte holds shift bits, so each chunk byte straddles
+	// two destination bytes: dst[i] takes the carry from chunk byte i−1 and
+	// the high 8−shift bits of byte i. Every byte of dst is assigned, so the
+	// grown region needs no clearing.
 	last := len(w.buf) - 1
-	for i := 0; i < nbytes; i++ {
-		b := buf[i]
-		w.buf[last+i] |= b >> shift
-		w.buf = append(w.buf, b<<(8-shift))
+	w.buf = slices.Grow(w.buf, nbytes)[:last+1+nbytes]
+	dst := w.buf[last:]
+	carry := uint64(dst[0])
+	i := 0
+	for ; i+8 <= nbytes; i += 8 {
+		v := load64(chunk[i : i+8])
+		binary.BigEndian.PutUint64(dst[i:], carry<<56|v>>shift)
+		carry = uint64(byte(v) << (8 - shift))
 	}
+	for ; i < nbytes; i++ {
+		b := chunk[i]
+		dst[i] = byte(carry) | b>>shift
+		carry = uint64(b << (8 - shift))
+	}
+	dst[nbytes] = byte(carry)
 	w.nbits += nbits
 	// Drop the overflow byte when the merged tail fits in one fewer byte.
 	// (Bits past nbits are zero by the Writer's zero-padding invariant, so
 	// the retained tail byte carries no stray bits.)
-	w.buf = w.buf[:(w.nbits+7)/8]
+	w.buf = w.buf[:w.base+(w.nbits+7)/8]
+}
+
+// load64 reads an 8-byte string as a big-endian word.
+func load64(b string) uint64 {
+	_ = b[7]
+	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
+		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
 // UvarintLen returns the exact bit length WriteUvarint(v) produces
@@ -126,8 +159,13 @@ func UvarintLen(v uint64) int {
 // Bits returns the number of bits written.
 func (w *Writer) Bits() int { return w.nbits }
 
-// Bytes returns the encoded bytes (the final byte zero-padded).
-func (w *Writer) Bytes() []byte { return append([]byte(nil), w.buf...) }
+// Bytes returns a copy of the encoded bytes (the final byte zero-padded),
+// without the prefix of a NewWriter buffer.
+func (w *Writer) Bytes() []byte { return append([]byte(nil), w.buf[w.base:]...) }
+
+// Buf returns the Writer's buffer without copying it: the NewWriter prefix,
+// if any, followed by the encoded bytes (the final byte zero-padded).
+func (w *Writer) Buf() []byte { return w.buf }
 
 // ErrOutOfBits is returned when a Reader runs past the end of input. An
 // Elias-gamma length prefix of 64 or more ones (a value no 64-bit code

@@ -11,14 +11,6 @@ import (
 	"repro/internal/lanewidth"
 )
 
-// EncodeLabel serializes an edge label to its exact bit representation —
-// the artifact that would cross the wire in the PLS model.
-func EncodeLabel(l *EdgeLabel) ([]byte, int) {
-	var w bits.Writer
-	l.encode(&w)
-	return w.Bytes(), w.Bits()
-}
-
 // DecodeLabel parses a label produced by EncodeLabel. It is canonical: it
 // accepts exactly the (data, nbits) pairs EncodeLabel produces, so every
 // decoded label re-encodes to its input (see LabelDecoder for the forms it
@@ -44,10 +36,12 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 // exact bit content, so labels decoded by one LabelDecoder share entries
 // the way the prover's labels do (Theorem 1's embedding certification
 // copies one virtual edge's certificate onto every edge of its path). Each
-// decoded component's encoding cache is filled from the input bits it was
-// read from: Key, Bits and re-encoding never run the encoder. Each entry is
-// read once into a reused scratch record; the NodeEntry is built, with
-// copies of the record's columns, only when its content is new.
+// decoded entry's and certificate's encoding cache is filled from the input
+// bits it was read from, so their Key, Bits and re-encoding never run the
+// encoder. A decoded EdgeLabel keeps no bytes of its own: AppendLabel
+// re-assembles it from those cached chunks. Each entry is read once into a
+// reused scratch record; the NodeEntry is built, with copies of the
+// record's columns, only when its content is new.
 //
 // The zero value is ready to use. A LabelDecoder is not safe for
 // concurrent use; the labels it returns are.
@@ -75,19 +69,16 @@ func (d *LabelDecoder) Decode(data []byte, nbits int) (*EdgeLabel, error) {
 	if r.Pos() != nbits {
 		return nil, fmt.Errorf("core: non-canonical label: %d unread trailing bits", nbits-r.Pos())
 	}
-	d.key = strconv.AppendInt(append(d.key[:0], data...), int64(nbits), 10)
-	l.cache.fill(append([]byte(nil), data...), nbits, string(d.key))
 	return l, nil
 }
 
 // span sets d.key to the canonical encoding of the input bits
 // [start, r.Pos()) followed by their bit count — the encCache key format —
-// and returns the encoding's byte and bit lengths.
-func (d *LabelDecoder) span(r *bits.Reader, start int) (nbytes, nbits int) {
-	d.key = r.AppendSpan(d.key[:0], start)
-	nbytes, nbits = len(d.key), r.Pos()-start
-	d.key = strconv.AppendInt(d.key, int64(nbits), 10)
-	return nbytes, nbits
+// and returns the bit count.
+func (d *LabelDecoder) span(r *bits.Reader, start int) int {
+	nbits := r.Pos() - start
+	d.key = strconv.AppendInt(r.AppendSpan(d.key[:0], start), int64(nbits), 10)
+	return nbits
 }
 
 func (d *LabelDecoder) edgeLabel(r *bits.Reader) (*EdgeLabel, error) {
@@ -170,7 +161,7 @@ func (d *LabelDecoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
 	if err != nil {
 		return nil, err
 	}
-	nbytes, nbits := d.span(r, start)
+	nbits := d.span(r, start)
 	if c, ok := d.cedges[string(d.key)]; ok {
 		return c, nil
 	}
@@ -179,7 +170,7 @@ func (d *LabelDecoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
 		c.Path = append([]*NodeEntry(nil), d.path...)
 	}
 	key := string(d.key)
-	c.cache.fill([]byte(key[:nbytes]), nbits, key)
+	c.cache.fill(key, nbits)
 	if d.cedges == nil {
 		d.cedges = map[string]*CEdgeLabel{}
 	}
@@ -194,13 +185,13 @@ func (d *LabelDecoder) entry(r *bits.Reader) (*NodeEntry, error) {
 	if err := d.rec.read(r); err != nil {
 		return nil, err
 	}
-	nbytes, nbits := d.span(r, start)
+	nbits := d.span(r, start)
 	if e, ok := d.entries[string(d.key)]; ok {
 		return e, nil
 	}
 	e := d.rec.build()
 	key := string(d.key)
-	e.cache.fill([]byte(key[:nbytes]), nbits, key)
+	e.cache.fill(key, nbits)
 	if d.entries == nil {
 		d.entries = map[string]*NodeEntry{}
 	}

@@ -147,7 +147,7 @@ func TestDecodeCanonicalSweep(t *testing.T) {
 		for _, extra := range []int{1, 7, 8, 9, 64} {
 			for _, fill := range []byte{0x00, 0xff} {
 				var w bits.Writer
-				w.WriteChunk(data, nbits)
+				w.WriteChunk(string(data), nbits)
 				for i := 0; i < extra; i++ {
 					w.WriteBit(fill != 0)
 				}

@@ -47,16 +47,21 @@ type OperandSummary struct {
 	Input   int // V-node operands: the vertex's input label
 }
 
-// encCache memoizes a label component's canonical encoding. Labels are
-// immutable once handed out by Prove or a LabelDecoder (corruption
-// experiments go through Clone, which resets the cache), so the encoding is
-// computed — or, for decoded labels, filled from the input — at most once;
-// the sync.Once makes concurrent verifiers (VerifyParallel, dist) race-free.
+// encCache memoizes a label component's canonical encoding as one string,
+// key: the encoding's ⌈nbits/8⌉ bytes (final byte zero-padded) followed by
+// the decimal bit count, so partial final bytes cannot alias. key is the
+// component's Key, and its byte prefix is the chunk spliced into enclosing
+// encodings. Labels are immutable once handed out by Prove or a
+// LabelDecoder (corruption experiments go through Clone, which resets the
+// cache), so the encoding is computed — or, for decoded node entries and
+// completion-edge certificates, filled from the input — at most once; the
+// sync.Once makes concurrent verifiers (VerifyParallel, dist) race-free.
+// An EdgeLabel's key is built only when its Key is asked for: marshaling
+// splices its components straight into the wire buffer (AppendLabel).
 type encCache struct {
 	once  sync.Once
-	data  []byte
-	nbits int
 	key   string
+	nbits int
 
 	// sizeOnce/size memoize the exact encoded bit count computed without
 	// materializing the byte encoding (see EdgeLabel.Bits): proof-size
@@ -66,26 +71,31 @@ type encCache struct {
 	size     int
 }
 
-// materialize runs the raw encoder once and freezes its output.
+// materialize runs the raw encoder once and freezes its output, appending
+// the bit count to the writer's own buffer so the key is its only copy.
 func (c *encCache) materialize(raw func(*bits.Writer)) {
 	c.once.Do(func() {
-		var w bits.Writer
-		raw(&w)
-		c.data = w.Bytes()
+		w := bits.NewWriter(nil)
+		raw(w)
 		c.nbits = w.Bits()
-		c.key = string(c.data) + strconv.Itoa(c.nbits)
+		c.key = string(strconv.AppendInt(w.Buf(), int64(c.nbits), 10))
 	})
 }
 
 // fill freezes an encoding recovered from decoded input instead of running
-// the encoder: data, nbits and key are exactly what materialize would
-// compute for the decoded component (LabelDecoder checks canonicality while
-// reading, so the input bits are the canonical encoding).
-func (c *encCache) fill(data []byte, nbits int, key string) {
+// the encoder: key and nbits are exactly what materialize would compute for
+// the decoded component (LabelDecoder checks canonicality while reading, so
+// the input bits are the canonical encoding).
+func (c *encCache) fill(key string, nbits int) {
 	c.once.Do(func() {
-		c.data, c.nbits, c.key = data, nbits, key
+		c.key, c.nbits = key, nbits
 	})
 	c.sizeOnce.Do(func() { c.size = nbits })
+}
+
+// splice appends the materialized encoding to w.
+func (c *encCache) splice(w *bits.Writer) {
+	w.WriteChunk(c.key, c.nbits)
 }
 
 // NodeEntry is the basic information B(G) of one hierarchy node, stored on
@@ -220,7 +230,7 @@ func (o *OperandSummary) encode(w *bits.Writer) {
 // encode appends the entry's canonical encoding, memoized on first use.
 func (n *NodeEntry) encode(w *bits.Writer) {
 	n.cache.materialize(n.encodeRaw)
-	w.WriteChunk(n.cache.data, n.cache.nbits)
+	n.cache.splice(w)
 }
 
 // encodeRaw is the bit-level definition of the entry's canonical encoding;
@@ -283,7 +293,7 @@ func (n *NodeEntry) Key() string {
 
 func (c *CEdgeLabel) encode(w *bits.Writer) {
 	c.cache.materialize(c.encodeRaw)
-	w.WriteChunk(c.cache.data, c.cache.nbits)
+	c.cache.splice(w)
 }
 
 func (c *CEdgeLabel) encodeRaw(w *bits.Writer) {
@@ -341,17 +351,31 @@ func (l *EdgeLabel) Bits() int {
 }
 
 // Key returns a canonical encoding of the whole edge label, used for the
-// cross-endpoint agreement check of the distributed simulator. Memoized, so
-// the honest path (both endpoints holding the same label pointer) compares
-// the same string instance in O(1).
+// cross-endpoint agreement check of the distributed simulator and by
+// experiments. It is the only place an edge label's encoding is cached:
+// built on first call and memoized, so the honest path (both endpoints
+// holding the same label pointer) compares the same string instance in O(1).
 func (l *EdgeLabel) Key() string {
 	l.cache.materialize(l.encodeRaw)
 	return l.cache.key
 }
 
-func (l *EdgeLabel) encode(w *bits.Writer) {
-	l.cache.materialize(l.encodeRaw)
-	w.WriteChunk(l.cache.data, l.cache.nbits)
+// AppendLabel appends the edge label's canonical encoding to dst, starting
+// on a fresh byte, and returns the extended buffer and the encoding's bit
+// count (always l.Bits()). It is the single edge-label encoder: the label
+// is assembled in place from its components' cached encodings, with no
+// intermediate copy. Size dst from l.Bits() to append without growing.
+func AppendLabel(dst []byte, l *EdgeLabel) ([]byte, int) {
+	w := bits.NewWriter(dst)
+	l.encodeRaw(w)
+	return w.Buf(), w.Bits()
+}
+
+// EncodeLabel serializes an edge label to its exact bit representation —
+// the artifact that would cross the wire in the PLS model — as AppendLabel
+// into a buffer of exactly ⌈l.Bits()/8⌉ bytes.
+func EncodeLabel(l *EdgeLabel) ([]byte, int) {
+	return AppendLabel(make([]byte, 0, (l.Bits()+7)/8), l)
 }
 
 func (l *EdgeLabel) encodeRaw(w *bits.Writer) {
