@@ -43,7 +43,6 @@ type Certifier struct {
 	maxLanes    int
 	paper       bool
 	parallelism int
-	concurrency int
 }
 
 // Option configures a Certifier.
@@ -117,9 +116,10 @@ func WithPaperConstruction(on bool) Option {
 
 // WithParallelism bounds the worker count of every parallel stage the
 // certifier runs — the structure build (lane embedding, hierarchy
-// validation, artifact derivation), each property's proving pass (class
-// sweep, entry and label assembly) and the per-vertex verifier. 0 (the
-// default) means NumCPU; 1 forces the sequential code paths everywhere.
+// validation, artifact derivation), the number of ProveBatch property passes
+// running at once, each property's proving pass (class sweep, entry and
+// label assembly) and the per-vertex verifier. 0 (the default) means
+// GOMAXPROCS; 1 forces the sequential code paths everywhere.
 // Output never depends on the value: certificates are byte-identical and
 // verification verdict-identical at every parallelism level.
 func WithParallelism(n int) Option {
@@ -128,19 +128,6 @@ func WithParallelism(n int) Option {
 			return fmt.Errorf("%w: parallelism must be ≥ 0, got %d", ErrBadConfig, n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithConcurrency bounds the number of property labeling passes ProveBatch
-// runs concurrently against the shared structure. 0 (the default) means
-// GOMAXPROCS.
-func WithConcurrency(workers int) Option {
-	return func(c *Certifier) error {
-		if workers < 0 {
-			return fmt.Errorf("%w: concurrency must be ≥ 0, got %d", ErrBadConfig, workers)
-		}
-		c.concurrency = workers
 		return nil
 	}
 }
@@ -245,7 +232,6 @@ func (c *Certifier) newBatch() (*core.Batch, error) {
 	return core.NewBatch(props, core.BatchOptions{
 		MaxLanes:             c.maxLanes,
 		UsePaperConstruction: c.paper,
-		Workers:              c.concurrency,
 		Parallelism:          c.parallelism,
 	})
 }
@@ -273,7 +259,7 @@ func (c *Certifier) Prove(ctx context.Context, g *Graph) (*Certificate, *Stats, 
 // ProveBatch certifies every configured property on the graph against one
 // shared structure (the property-independent pipeline runs once; each
 // property then runs only its algebra sweep, on a worker pool bounded by
-// WithConcurrency). Properties that do not hold are reported in
+// WithParallelism). Properties that do not hold are reported in
 // BatchStats.Failed and omitted from the certificate; if no property holds,
 // the certificate is nil. Labelings are byte-identical to independent Prove
 // runs of each property.
@@ -286,7 +272,8 @@ func (c *Certifier) ProveBatch(ctx context.Context, g *Graph) (*Certificate, *Ba
 }
 
 // Verify checks the certificate against the graph: every property, at every
-// vertex, using the parallel verifier unless WithParallelism(1). It
+// vertex, on a pool of this certifier's WithParallelism workers (never the
+// level the certificate was proved at; decoded certificates carry none). It
 // returns nil when all vertices accept, ErrWrongGraph when the certificate
 // was issued for a different configuration, a *VerifyError (matching
 // ErrVerifyFailed) naming the rejecting vertices otherwise, and ctx.Err()
@@ -298,14 +285,11 @@ func (c *Certifier) Verify(ctx context.Context, g *Graph, crt *Certificate) erro
 		return err
 	}
 	for _, name := range crt.props {
-		scheme := crt.schemes[name]
-		var verdicts []bool
-		var verr error
-		if c.parallelism == 1 {
-			verdicts, verr = scheme.VerifyCtx(ctx, cfg, crt.labelings[name])
-		} else {
-			verdicts, verr = scheme.VerifyParallelCtx(ctx, cfg, crt.labelings[name])
-		}
+		// A shallow copy carries this certifier's level: the certificate's
+		// scheme is shared by concurrent verifies and is never written.
+		scheme := *crt.schemes[name]
+		scheme.Workers = c.parallelism
+		verdicts, verr := scheme.VerifyParallelCtx(ctx, cfg, crt.labelings[name])
 		if verr != nil {
 			return verr
 		}

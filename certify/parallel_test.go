@@ -7,7 +7,9 @@ package certify
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -60,13 +62,16 @@ func TestWithParallelismValidation(t *testing.T) {
 	}
 }
 
-// TestParallelismOneSequentialVerify checks the documented contract that
-// parallelism 1 routes Verify through the sequential verifier (and that the
-// verdict matches the parallel one on both accept and reject inputs).
+// TestParallelismOneSequentialVerify checks that Verify runs at the
+// verifying certifier's WithParallelism level — whatever level a fresh
+// certificate was proved at, and for decoded certificates, which carry none —
+// and that the verdict is the same at every level: on accepted, wrong-graph,
+// decoded and corrupted certificates (identical rejecting vertices), and on
+// an already-cancelled context.
 func TestParallelismOneSequentialVerify(t *testing.T) {
 	ctx := context.Background()
 	g := Path(24)
-	prover, err := New(WithProperty(mustProp(t, "acyclic")))
+	prover, err := New(WithProperty(mustProp(t, "acyclic")), WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +79,59 @@ func TestParallelismOneSequentialVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 0, 2} {
+	blob, err := crt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := new(Certificate)
+	if err := decoded.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	corrupted, err := decoded.Corrupt(5, "shift-terminal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refRejected []int
+	for _, p := range []int{1, 0, 2, runtime.NumCPU()} {
 		v, err := New(WithParallelism(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Verify(ctx, g, crt); err != nil {
-			t.Fatalf("parallelism %d: verify: %v", p, err)
+		for _, c := range []*Certificate{crt, decoded} {
+			if err := v.Verify(ctx, g, c); err != nil {
+				t.Fatalf("parallelism %d: verify: %v", p, err)
+			}
+			// Wrong graph: every verifier must reject identically.
+			if err := v.Verify(ctx, Cycle(24), c); err == nil {
+				t.Fatalf("parallelism %d: accepted certificate for wrong graph", p)
+			}
 		}
-		// Wrong graph: every verifier must reject identically.
-		if err := v.Verify(ctx, Cycle(24), crt); err == nil {
-			t.Fatalf("parallelism %d: accepted certificate for wrong graph", p)
+		var ve *VerifyError
+		if err := v.Verify(ctx, g, corrupted); !errors.As(err, &ve) || len(ve.Rejected) == 0 {
+			t.Fatalf("parallelism %d: corrupted certificate: %v", p, err)
+		}
+		if refRejected == nil {
+			refRejected = ve.Rejected
+		} else if !slices.Equal(ve.Rejected, refRejected) {
+			t.Fatalf("parallelism %d: rejected %v, parallelism 1 rejected %v", p, ve.Rejected, refRejected)
+		}
+	}
+
+	// An already-cancelled context stops every verifier before any work.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, p := range []int{1, 4} {
+		v, err := New(WithParallelism(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Certificate{crt, decoded} {
+			if err := v.Verify(cancelled, g, c); !errors.Is(err, context.Canceled) {
+				t.Fatalf("parallelism %d: Verify: err=%v, want context.Canceled", p, err)
+			}
+			if err := v.VerifyDistributed(cancelled, g, c); !errors.Is(err, context.Canceled) {
+				t.Fatalf("parallelism %d: VerifyDistributed: err=%v, want context.Canceled", p, err)
+			}
 		}
 	}
 }

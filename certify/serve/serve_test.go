@@ -310,21 +310,41 @@ func TestBackpressure(t *testing.T) {
 	go post() // sits in the queue
 	waitFor(t, func() bool { return len(s.queue) == 1 })
 
-	// Queue full: immediate 429 with Retry-After.
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/prove", "application/json", bytes.NewReader(body))
+	// Queue full: prove and both verifiers answer an immediate 429 with
+	// Retry-After, because verifying an upload runs on the same pool.
+	acyclic, err := certify.PropertyByName("acyclic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third request: %d, want 429", resp.StatusCode)
+	prover, err := certify.New(certify.WithProperty(acyclic))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No prove has completed yet, so there is no latency signal and the
-	// estimate falls back to one second.
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After before any completed prove: %q, want \"1\"", ra)
+	crt, _, err := prover.Prove(context.Background(), certify.Path(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := crt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/prove", req},
+		{"/v1/verify", verifyRequest{Fingerprint: fp, Certificate: blob}},
+		{"/v1/verify", verifyRequest{Fingerprint: fp, Certificate: blob, Distributed: true}},
+	} {
+		resp, _ := postJSON(t, ts.URL+in.path, in.req)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s %+v with a full queue: %d, want 429", in.path, in.req, resp.StatusCode)
+		}
+		// No job has completed yet, so there is no latency signal and the
+		// estimate falls back to one second.
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Fatalf("%s: Retry-After before any completed job: %q, want \"1\"", in.path, ra)
+		}
 	}
 
 	// Release the pool: both held requests complete successfully.

@@ -27,10 +27,11 @@ var errBadRequest = errors.New("serve: bad request")
 // Options configures a Server. The zero value of any field means its
 // documented default.
 type Options struct {
-	// Workers bounds the prover worker pool (default GOMAXPROCS): at most
-	// this many prove requests run concurrently, the rest queue.
+	// Workers bounds the worker pool (default GOMAXPROCS): at most this
+	// many prove, PATCH and verify requests run concurrently, the rest
+	// queue.
 	Workers int
-	// QueueDepth bounds the pending prove queue (default 64). When the
+	// QueueDepth bounds the pending job queue (default 64). When the
 	// queue is full the service answers 429 instead of buffering without
 	// bound — backpressure, not collapse.
 	QueueDepth int
@@ -51,8 +52,8 @@ type Options struct {
 	MaxGraphs int
 	// MaxDistributedN caps the graph size the goroutine-per-vertex
 	// distributed verifier may be asked to run on (default 4096): the
-	// simulator spawns one goroutine per vertex, so it is bounded like the
-	// prover rather than left client-controlled. Negative means unlimited.
+	// simulator spawns one goroutine per vertex, and at most Workers
+	// simulations run at once on the worker pool. Negative means unlimited.
 	MaxDistributedN int
 	// ReadLimits bounds graph ingestion (default graphio.DefaultLimits).
 	ReadLimits graphio.Limits
@@ -117,10 +118,6 @@ type Server struct {
 	wg    sync.WaitGroup
 	mux   *http.ServeMux
 
-	// distSem bounds concurrent distributed verifications (one network
-	// simulator spawns a goroutine per vertex; Workers of them at most).
-	distSem chan struct{}
-
 	// gateParked counts workers parked on testProveGate (tests only).
 	gateParked atomic.Int32
 
@@ -139,9 +136,9 @@ type Server struct {
 	formulas  map[string]certify.Property
 }
 
-// proveJob is one unit of prover-pool work: a closure run by a worker under
-// the request context. Prove and PATCH requests share the pool (and hence
-// its backpressure) by enqueueing different closures.
+// proveJob is one unit of worker-pool work: a closure run by a worker under
+// the request context. Prove, PATCH and verify requests share the pool (and
+// hence its backpressure) by enqueueing different closures.
 type proveJob struct {
 	ctx   context.Context
 	run   func(ctx context.Context) proveOutcome
@@ -182,13 +179,12 @@ func New(opts Options) (*Server, error) {
 		maxGraphs = 0 // unlimited
 	}
 	s := &Server{
-		opts:    opts,
-		store:   NewStore(opts.StoreShards, maxGraphs),
-		base:    base,
-		queue:   make(chan *proveJob, opts.QueueDepth),
-		quit:    make(chan struct{}),
-		distSem: make(chan struct{}, opts.Workers),
-		mux:     http.NewServeMux(),
+		opts:  opts,
+		store: NewStore(opts.StoreShards, maxGraphs),
+		base:  base,
+		queue: make(chan *proveJob, opts.QueueDepth),
+		quit:  make(chan struct{}),
+		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/properties", s.handleProperties)
@@ -298,7 +294,7 @@ func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, run func(c
 	case s.queue <- job:
 	default:
 		w.Header().Set("Retry-After", s.retryAfter())
-		writeError(w, http.StatusTooManyRequests, errors.New("prove queue is full, retry later"))
+		writeError(w, http.StatusTooManyRequests, errors.New("job queue is full, retry later"))
 		return proveOutcome{}, false
 	}
 	select {
@@ -800,33 +796,31 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no graph %s", fpString(fp)))
 		return
 	}
-	var crt certify.Certificate
-	if err := crt.UnmarshalBinary(req.Certificate); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	// The simulator spawns a goroutine per vertex: bound the graph size it
+	// may be asked to run on.
+	if req.Distributed && s.opts.MaxDistributedN > 0 && entry.Graph().N() > s.opts.MaxDistributedN {
+		writeError(w, http.StatusUnprocessableEntity,
+			fmt.Errorf("distributed verification is limited to n ≤ %d (graph has %d vertices); use the default verifier", s.opts.MaxDistributedN, entry.Graph().N()))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
 	defer cancel()
-	if req.Distributed {
-		// The simulator spawns a goroutine per vertex: bound both the graph
-		// size and the number of concurrent simulations rather than letting
-		// clients multiply the two without limit.
-		if s.opts.MaxDistributedN > 0 && entry.Graph().N() > s.opts.MaxDistributedN {
-			writeError(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("distributed verification is limited to n ≤ %d (graph has %d vertices); use the default verifier", s.opts.MaxDistributedN, entry.Graph().N()))
-			return
+	// Decoding and verifying an upload is CPU work on untrusted input, so it
+	// runs on the bounded worker pool like prove and PATCH.
+	out, ok := s.dispatch(w, ctx, func(ctx context.Context) proveOutcome {
+		var crt certify.Certificate
+		if err := crt.UnmarshalBinary(req.Certificate); err != nil {
+			return proveOutcome{err: err}
 		}
-		select {
-		case s.distSem <- struct{}{}:
-		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, ctx.Err())
-			return
+		if req.Distributed {
+			return proveOutcome{err: s.base.VerifyDistributed(ctx, entry.Graph(), &crt)}
 		}
-		err = s.base.VerifyDistributed(ctx, entry.Graph(), &crt)
-		<-s.distSem
-	} else {
-		err = s.base.Verify(ctx, entry.Graph(), &crt)
+		return proveOutcome{err: s.base.Verify(ctx, entry.Graph(), &crt)}
+	})
+	if !ok {
+		return
 	}
+	err = out.err
 	var ve *certify.VerifyError
 	switch {
 	case err == nil:
@@ -837,6 +831,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			Property: ve.Property,
 			Rejected: ve.Rejected,
 		})
+	case errors.Is(err, certify.ErrBadCertificate):
+		writeError(w, http.StatusBadRequest, err)
 	case errors.Is(err, certify.ErrWrongGraph):
 		writeError(w, http.StatusConflict, err)
 	case errors.Is(err, certify.ErrBadFormula):

@@ -1,11 +1,12 @@
 package core
 
-// Pins for the StructuralProof / batch split: ProveAll's labelings must be
-// byte-identical to B independent Prove calls, across every generator
-// family, including failure parity (a property failing in the batch fails
-// the same way independently).
+// Pins for the StructuralProof / batch split: ProveAllWithCtx's labelings
+// must be byte-identical to B independent ProveCtx calls, across every
+// generator family, including failure parity (a property failing in the
+// batch fails the same way independently).
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -32,18 +33,22 @@ func TestProveAllByteIdenticalToIndependentProves(t *testing.T) {
 	for _, tc := range regressionConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cert.NewConfig(tc.g)
-			b, err := NewBatch(props, BatchOptions{MaxLanes: 8, Workers: 2})
+			b, err := NewBatch(props, BatchOptions{MaxLanes: 8, Parallelism: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			labelings, stats, err := b.ProveAll(cfg, nil)
+			sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			labelings, stats, err := b.ProveAllWithCtx(context.Background(), sp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, prop := range props {
 				name := prop.Name()
 				s := NewScheme(prop, 8)
-				refLabeling, refStats, refErr := s.Prove(cert.NewConfig(tc.g), nil)
+				refLabeling, refStats, refErr := s.ProveCtx(context.Background(), cert.NewConfig(tc.g), nil)
 				if refErr != nil {
 					if !errors.Is(refErr, ErrPropertyFails) {
 						t.Fatalf("%s: independent Prove: %v", name, refErr)
@@ -106,36 +111,33 @@ func TestVerifyAllAcceptsBatchLabelings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labelings, _, err := b.ProveAll(cfg, nil)
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelings, _, err := b.ProveAllWithCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(labelings) == 0 {
 		t.Fatal("no property certified")
 	}
-	verdicts, err := b.VerifyAll(cfg, labelings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(verdicts) != len(labelings) {
-		t.Fatalf("verdicts for %d of %d labelings", len(verdicts), len(labelings))
-	}
-	for name, vs := range verdicts {
-		if !AllAccept(vs) {
+	for name, l := range labelings {
+		if !AllAccept(verify(b.Scheme(name), cfg, l)) {
 			t.Errorf("%s: honest batch labeling rejected", name)
 		}
 	}
 	// Cross-wiring labelings to the wrong scheme must not be silently
 	// accepted as a batch of this shape.
-	if _, err := b.VerifyAll(cfg, map[string]*Labeling{"no-such-property": nil}); err == nil {
-		t.Error("VerifyAll accepted a labeling for an unknown property")
+	if b.Scheme("no-such-property") != nil {
+		t.Error("batch has a scheme for an unknown property")
 	}
 }
 
 func TestProveAllSharedStructureReuse(t *testing.T) {
 	g := graph.PathGraph(24)
 	cfg := cert.NewConfig(g)
-	sp, err := BuildStructure(cfg, nil)
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +151,12 @@ func TestProveAllSharedStructureReuse(t *testing.T) {
 	}
 	// One structure served to two batches: both must certify and verify.
 	for _, b := range []*Batch{b1, b2} {
-		labelings, _, err := b.ProveAllWith(sp)
+		labelings, _, err := b.ProveAllWithCtx(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		verdicts, err := b.VerifyAll(cfg, labelings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, vs := range verdicts {
-			if !AllAccept(vs) {
+		for name, l := range labelings {
+			if !AllAccept(verify(b.Scheme(name), cfg, l)) {
 				t.Errorf("%s: rejected on reused structure", name)
 			}
 		}
@@ -168,9 +166,15 @@ func TestProveAllSharedStructureReuse(t *testing.T) {
 func TestProveAllSingleVertex(t *testing.T) {
 	g := graph.New(1)
 	cfg := cert.NewConfig(g)
-	labelings, stats, err := ProveAll(cfg, nil, []algebra.Property{
-		algebra.Colorable{Q: 2}, algebra.Acyclic{},
-	})
+	b, err := NewBatch([]algebra.Property{algebra.Colorable{Q: 2}, algebra.Acyclic{}}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelings, stats, err := b.ProveAllWithCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +204,12 @@ func TestNewBatchRejectsBadInputs(t *testing.T) {
 func TestProveWithRejectsLaneBudgetOverflow(t *testing.T) {
 	g := gen.Caterpillar(8, 2)
 	cfg := cert.NewConfig(g)
-	sp, err := BuildStructure(cfg, nil)
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewScheme(algebra.Colorable{Q: 2}, 1)
-	if _, _, err := s.ProveWith(sp); !errors.Is(err, ErrTooManyLanes) {
+	if _, _, err := s.ProveWithCtx(context.Background(), sp); !errors.Is(err, ErrTooManyLanes) {
 		t.Fatalf("expected ErrTooManyLanes, got %v", err)
 	}
 }

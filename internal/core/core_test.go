@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,15 @@ import (
 	"repro/internal/graph"
 	"repro/internal/interval"
 )
+
+// verify runs the sequential reference verifier (one worker, on the calling
+// goroutine) and returns the per-vertex verdicts.
+func verify(s *Scheme, cfg *cert.Config, l *Labeling) []bool {
+	seq := *s
+	seq.Workers = 1
+	verdicts, _ := seq.VerifyParallelCtx(context.Background(), cfg, l)
+	return verdicts
+}
 
 func caterpillar(spine, legs int) *graph.Graph {
 	g := graph.PathGraph(spine)
@@ -26,7 +36,7 @@ func caterpillar(spine, legs int) *graph.Graph {
 func proveOK(t *testing.T, s *Scheme, g *graph.Graph) (*cert.Config, *Labeling, *Stats) {
 	t.Helper()
 	cfg := cert.NewConfig(g)
-	labeling, stats, err := s.Prove(cfg, nil)
+	labeling, stats, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatalf("Prove: %v", err)
 	}
@@ -54,7 +64,7 @@ func TestCompletenessAcrossGraphsAndProperties(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg, labeling, stats := proveOK(t, s, tc.g)
-			verdicts := s.Verify(cfg, labeling)
+			verdicts := verify(s, cfg, labeling)
 			for v, ok := range verdicts {
 				if !ok {
 					t.Fatalf("vertex %d rejected an honest labeling", v)
@@ -72,7 +82,7 @@ func TestPaperConstructionPipeline(t *testing.T) {
 	s.UsePaperConstruction = true
 	g := caterpillar(6, 1)
 	cfg, labeling, stats := proveOK(t, s, g)
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(s, cfg, labeling)) {
 		t.Fatal("paper-construction labeling rejected")
 	}
 	if stats.Congestion < 1 && stats.VirtualEdges > 0 {
@@ -96,7 +106,7 @@ func TestProveRejectsNoInstances(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			if _, _, err := s.Prove(cfg, nil); !errors.Is(err, ErrPropertyFails) {
+			if _, _, err := s.ProveCtx(context.Background(), cfg, nil); !errors.Is(err, ErrPropertyFails) {
 				t.Fatalf("Prove err = %v, want ErrPropertyFails", err)
 			}
 		})
@@ -106,7 +116,7 @@ func TestProveRejectsNoInstances(t *testing.T) {
 func TestProveLaneBudget(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 3}, 1)
 	cfg := cert.NewConfig(graph.CycleGraph(6))
-	if _, _, err := s.Prove(cfg, nil); !errors.Is(err, ErrTooManyLanes) {
+	if _, _, err := s.ProveCtx(context.Background(), cfg, nil); !errors.Is(err, ErrTooManyLanes) {
 		t.Fatalf("err = %v, want ErrTooManyLanes", err)
 	}
 }
@@ -114,16 +124,16 @@ func TestProveLaneBudget(t *testing.T) {
 func TestSingleVertex(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 2}, 2)
 	cfg := cert.NewConfig(graph.New(1))
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(s, cfg, labeling)) {
 		t.Fatal("single vertex rejected")
 	}
 	// K1 has no perfect matching.
 	sm := NewScheme(algebra.PerfectMatching{}, 2)
-	if _, _, err := sm.Prove(cfg, nil); !errors.Is(err, ErrPropertyFails) {
+	if _, _, err := sm.ProveCtx(context.Background(), cfg, nil); !errors.Is(err, ErrPropertyFails) {
 		t.Fatalf("matching on K1: %v", err)
 	}
 }
@@ -141,11 +151,11 @@ func TestLabelBitsGrowLogarithmically(t *testing.T) {
 		g := graph.PathGraph(n)
 		pd := interval.OrderingDecomposition(g, interval.HeuristicOrdering(g))
 		cfg := cert.NewConfig(g)
-		labeling, stats, err := s.Prove(cfg, pd)
+		labeling, stats, err := s.ProveCtx(context.Background(), cfg, pd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !AllAccept(s.Verify(cfg, labeling)) {
+		if !AllAccept(verify(s, cfg, labeling)) {
 			t.Fatalf("n=%d rejected", n)
 		}
 		pts = append(pts, point{n, stats.MaxLabelBits})
@@ -280,7 +290,7 @@ func TestSoundnessUnderCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg, labeling, _ := proveOK(t, s, tc.g)
-			if !AllAccept(s.Verify(cfg, labeling)) {
+			if !AllAccept(verify(s, cfg, labeling)) {
 				t.Fatal("honest labeling rejected")
 			}
 			rng := rand.New(rand.NewSource(99))
@@ -288,7 +298,7 @@ func TestSoundnessUnderCorruption(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				mutated := labeling.Clone()
 				desc := corrupt(rng, mutated)
-				if AllAccept(s.Verify(cfg, mutated)) {
+				if AllAccept(verify(s, cfg, mutated)) {
 					t.Fatalf("trial %d: corruption %q accepted", trial, desc)
 				}
 			}
@@ -304,7 +314,7 @@ func TestSoundnessCycleMasqueradingAsPath(t *testing.T) {
 	pathG := graph.PathGraph(n)
 	s := NewScheme(algebra.Acyclic{}, 4)
 	cfgPath := cert.NewConfig(pathG)
-	labeling, _, err := s.Prove(cfgPath, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfgPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +323,7 @@ func TestSoundnessCycleMasqueradingAsPath(t *testing.T) {
 	for _, donor := range pathG.Edges() {
 		forged := labeling.Clone()
 		forged.Edges[graph.NewEdge(0, n-1)] = forged.Edges[donor].clone()
-		if AllAccept(s.Verify(cfgCycle, forged)) {
+		if AllAccept(verify(s, cfgCycle, forged)) {
 			t.Fatalf("cycle accepted with donor label %v", donor)
 		}
 	}
@@ -323,7 +333,7 @@ func TestVerifyRejectsMissingLabel(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 2}, 4)
 	cfg, labeling, _ := proveOK(t, s, graph.PathGraph(6))
 	delete(labeling.Edges, graph.NewEdge(2, 3))
-	if AllAccept(s.Verify(cfg, labeling)) {
+	if AllAccept(verify(s, cfg, labeling)) {
 		t.Fatal("missing edge label accepted")
 	}
 }
@@ -360,14 +370,14 @@ func TestQuickRandomIntervalGraphsEndToEnd(t *testing.T) {
 		}
 		s := NewScheme(algebra.Colorable{Q: 3}, 6)
 		cfg := cert.NewConfig(g)
-		labeling, stats, err := s.Prove(cfg, nil)
+		labeling, stats, err := s.ProveCtx(context.Background(), cfg, nil)
 		if errors.Is(err, ErrTooManyLanes) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !AllAccept(s.Verify(cfg, labeling)) {
+		if !AllAccept(verify(s, cfg, labeling)) {
 			t.Fatalf("trial %d: honest labeling rejected", trial)
 		}
 		if stats.MaxLabelBits <= 0 {

@@ -6,6 +6,7 @@ package core
 // re-encode to itself.
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -41,7 +42,7 @@ func canonicalCorpus(tb testing.TB) []encodedLabel {
 	for _, g := range []*graph.Graph{gen.Caterpillar(3, 1), gen.Ladder(3)} {
 		for _, p := range props {
 			s := NewScheme(p, 6)
-			labeling, _, err := s.Prove(cert.NewConfig(g), nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cert.NewConfig(g), nil)
 			if err != nil {
 				tb.Fatal(err)
 			}

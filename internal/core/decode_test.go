@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/algebra"
@@ -30,7 +31,7 @@ func TestLabelEncodeDecodeRoundTrip(t *testing.T) {
 			if tc.mark != nil {
 				cfg.MarkSet(tc.mark)
 			}
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestLabelEncodeDecodeRoundTrip(t *testing.T) {
 				}
 				decoded.Edges[e] = back
 			}
-			if !AllAccept(s.Verify(cfg, decoded)) {
+			if !AllAccept(verify(s, cfg, decoded)) {
 				t.Fatal("decoded labeling rejected")
 			}
 		})
@@ -64,7 +65,7 @@ func TestDecodeLabelRejectsGarbage(t *testing.T) {
 	// Truncations of a real label must fail, not panic.
 	s := NewScheme(algebra.Colorable{Q: 2}, 4)
 	cfg := cert.NewConfig(graph.PathGraph(5))
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package core
 // certificate).
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestProveBitIdenticalToNaiveReference(t *testing.T) {
 			prove := func() (*cert.Config, *Labeling, *Stats) {
 				s := NewScheme(tc.prop, 8)
 				cfg := cert.NewConfig(tc.g)
-				labeling, stats, err := s.Prove(cfg, nil)
+				labeling, stats, err := s.ProveCtx(context.Background(), cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +115,7 @@ func TestEmbPayloadSharing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bits"
@@ -31,7 +32,7 @@ func RegressionLabelings(t *testing.T) []RegressionLabeling {
 	t.Helper()
 	var out []RegressionLabeling
 	for _, tc := range regressionConfigs(t) {
-		l, _, err := NewScheme(tc.prop, 8).Prove(cert.NewConfig(tc.g), nil)
+		l, _, err := NewScheme(tc.prop, 8).ProveCtx(context.Background(), cert.NewConfig(tc.g), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -6,6 +6,7 @@ package core
 // counterpart of the structured fault injection in internal/dist.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,7 @@ func fuzzLabeling(tb testing.TB) (*Scheme, *cert.Config, *Labeling) {
 	g := gen.Caterpillar(5, 1)
 	s := NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestDecodeRejectsTruncatedStreams(t *testing.T) {
 	for e := range labeling.Edges {
 		forged := labeling.Clone()
 		delete(forged.Edges, e)
-		if AllAccept(s.Verify(cfg, forged)) {
+		if AllAccept(verify(s, cfg, forged)) {
 			t.Fatalf("edge %v: erased label accepted", e)
 		}
 		break
@@ -122,7 +123,7 @@ func TestVerifierRejectsBitFlippedStreams(t *testing.T) {
 			}
 			forged := labeling.Clone()
 			forged.Edges[e] = dec
-			if !AllAccept(s.Verify(cfg, forged)) {
+			if !AllAccept(verify(s, cfg, forged)) {
 				rejected++
 				continue
 			}
@@ -176,7 +177,7 @@ func TestDecodeRoundTripAllFamilies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,11 +51,11 @@ type OperandSummary struct {
 // key: the encoding's ⌈nbits/8⌉ bytes (final byte zero-padded) followed by
 // the decimal bit count, so partial final bytes cannot alias. key is the
 // component's Key, and its byte prefix is the chunk spliced into enclosing
-// encodings. Labels are immutable once handed out by Prove or a
+// encodings. Labels are immutable once handed out by ProveCtx or a
 // LabelDecoder (corruption experiments go through Clone, which resets the
 // cache), so the encoding is computed — or, for decoded node entries and
 // completion-edge certificates, filled from the input — at most once; the
-// sync.Once makes concurrent verifiers (VerifyParallel, dist) race-free.
+// sync.Once makes concurrent verifiers (VerifyParallelCtx, dist) race-free.
 // An EdgeLabel's key is built only when its Key is asked for: marshaling
 // splices its components straight into the wire buffer (AppendLabel).
 type encCache struct {

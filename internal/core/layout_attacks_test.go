@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -140,7 +141,7 @@ func verifyNoPanic(t *testing.T, s *Scheme, cfg *cert.Config, l *Labeling) (verd
 			t.Fatalf("verifier panicked: %v", r)
 		}
 	}()
-	return s.Verify(cfg, l)
+	return verify(s, cfg, l)
 }
 
 func TestVerifierRejectsMisalignedLayouts(t *testing.T) {
@@ -150,7 +151,7 @@ func TestVerifierRejectsMisalignedLayouts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ package core
 // parallel label build), and 0 (= GOMAXPROCS, whatever the host has).
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cert"
@@ -52,7 +53,7 @@ func TestProveByteIdenticalAcrossWorkers(t *testing.T) {
 				s := NewScheme(tc.prop, 8)
 				s.Workers = workers
 				cfg := cert.NewConfig(tc.g)
-				labeling, stats, err := s.Prove(cfg, nil)
+				labeling, stats, err := s.ProveCtx(context.Background(), cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

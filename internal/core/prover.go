@@ -15,7 +15,7 @@ import (
 	"repro/internal/par"
 )
 
-// ErrPropertyFails is returned by Prove when the configuration does not
+// ErrPropertyFails is returned by ProveCtx when the configuration does not
 // satisfy the property (there is nothing to certify; Theorem 1's
 // completeness only speaks about yes-instances).
 var ErrPropertyFails = errors.New("core: property does not hold on this configuration")
@@ -24,7 +24,7 @@ var ErrPropertyFails = errors.New("core: property does not hold on this configur
 // within the scheme's lane budget.
 var ErrTooManyLanes = errors.New("core: lane partition exceeds the scheme's lane budget")
 
-// ErrStaleStructure is returned by ProveWith when the structural proof was
+// ErrStaleStructure is returned by ProveWithCtx when the structural proof was
 // built against an earlier generation of the graph: the graph mutated after
 // BuildStructure, so the structure's decomposition, embedding and artifact
 // tables no longer describe it.
@@ -43,8 +43,8 @@ type Scheme struct {
 	// first-fit partition with shortest-path embeddings.
 	UsePaperConstruction bool
 	// Workers bounds the parallelism of the property pass — the class sweep,
-	// entry assembly and label construction: 0 means GOMAXPROCS, 1 forces the
-	// exact sequential path. Output is byte-identical for every value: class
+	// entry assembly and label construction — and of VerifyParallelCtx: 0
+	// means GOMAXPROCS, 1 forces the exact sequential path. Output is byte-identical for every value: class
 	// ids are content hashes whose collision ranks Registry.Canonicalize
 	// orders by content, so they depend only on the set of classes in the
 	// proof, never on sweep order (see DESIGN.md §10).
@@ -94,19 +94,15 @@ type Stats struct {
 	Stages StageTimings
 }
 
-// Prove labels the configuration. The optional decomposition is used when
-// non-nil; otherwise one is computed (exactly for small graphs). Prove is a
-// thin wrapper: BuildStructure computes the property-independent structure,
-// ProveWith runs the property's algebra sweep over it.
+// ProveCtx labels the configuration. The optional decomposition is used
+// when non-nil; otherwise one is computed (exactly for small graphs).
+// ProveCtx is a thin wrapper: BuildStructureCtx computes the
+// property-independent structure, ProveWithCtx runs the property's algebra
+// sweep over it. Cancellation is observed between the structure-building
+// stages and periodically inside the class sweep, and the call returns
+// ctx.Err() promptly instead of completing the labeling.
 // Completeness: on yes-instances of φ ∧ (pathwidth small enough for the lane
-// budget), Prove succeeds and Verify accepts everywhere.
-func (s *Scheme) Prove(cfg *cert.Config, pd *interval.PathDecomposition) (*Labeling, *Stats, error) {
-	return s.ProveCtx(context.Background(), cfg, pd)
-}
-
-// ProveCtx is Prove honoring a context: cancellation is observed between the
-// structure-building stages and periodically inside the class sweep, and the
-// call returns ctx.Err() promptly instead of completing the labeling.
+// budget), ProveCtx succeeds and VerifyParallelCtx accepts everywhere.
 func (s *Scheme) ProveCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition) (*Labeling, *Stats, error) {
 	sp, err := BuildStructureCtx(ctx, cfg, pd, StructureOptions{
 		UsePaperConstruction: s.UsePaperConstruction,
@@ -118,17 +114,12 @@ func (s *Scheme) ProveCtx(ctx context.Context, cfg *cert.Config, pd *interval.Pa
 	return s.ProveWithCtx(ctx, sp)
 }
 
-// ProveWith runs only the property-dependent half of the prover — class
+// ProveWithCtx runs only the property-dependent half of the prover — class
 // computation, acceptance, certificates and labels (Section 6) — against a
-// shared immutable structure. Its output is byte-identical to Prove on the
-// same configuration. Multiple ProveWith calls (of different schemes) may
-// run concurrently against one StructuralProof.
-func (s *Scheme) ProveWith(sp *StructuralProof) (*Labeling, *Stats, error) {
-	return s.ProveWithCtx(context.Background(), sp)
-}
-
-// ProveWithCtx is ProveWith honoring a context; the class sweep checks for
-// cancellation every few hundred hierarchy nodes.
+// shared immutable structure. Its output is byte-identical to ProveCtx on
+// the same configuration. Multiple ProveWithCtx calls (of different schemes)
+// may run concurrently against one StructuralProof. The class sweep checks
+// for cancellation every few hundred hierarchy nodes.
 func (s *Scheme) ProveWithCtx(ctx context.Context, sp *StructuralProof) (*Labeling, *Stats, error) {
 	labeling, stats, _, err := s.proveWith(ctx, sp, nil, nil, nil)
 	return labeling, stats, err

@@ -51,10 +51,10 @@ func sinceMillis(t time.Time) float64 {
 // lanewidth transcript, hierarchical decomposition — plus the per-node
 // boundary/order tables and the root-anchor pointing labels that the label
 // encoder consumes. A StructuralProof is immutable once built and safe for
-// concurrent use: Scheme.ProveWith runs only the property-dependent algebra
+// concurrent use: Scheme.ProveWithCtx runs only the property-dependent algebra
 // sweep (Section 6) against it, so certifying B properties of one
 // configuration builds the structure once instead of B times (see
-// Batch.ProveAll).
+// Batch.ProveAllWithCtx).
 type StructuralProof struct {
 	Cfg        *cert.Config
 	PD         *interval.PathDecomposition
@@ -92,7 +92,7 @@ type StructuralProof struct {
 	stages StageTimings
 
 	// plan is the class sweep's dependency schedule, derived lazily from the
-	// hierarchy on first parallel ProveWith and shared by every property pass
+	// hierarchy on first parallel ProveWithCtx and shared by every property pass
 	// over this structure (see sweepPlan).
 	planOnce sync.Once
 	plan     *sweepPlan
@@ -137,22 +137,12 @@ func (sp *StructuralProof) SingleVertex() bool { return sp.singleVertex }
 // Congestion returns the embedding congestion of the structure.
 func (sp *StructuralProof) Congestion() int { return sp.congestion }
 
-// BuildStructure computes the property-independent structure of the
+// BuildStructureCtx computes the property-independent structure of the
 // configuration. The optional decomposition is used when non-nil; otherwise
 // one is computed. The result can be shared by any number of concurrent
-// Scheme.ProveWith calls.
-func BuildStructure(cfg *cert.Config, pd *interval.PathDecomposition) (*StructuralProof, error) {
-	return BuildStructureOpts(cfg, pd, StructureOptions{})
-}
-
-// BuildStructureOpts is BuildStructure with explicit options.
-func BuildStructureOpts(cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions) (*StructuralProof, error) {
-	return BuildStructureCtx(context.Background(), cfg, pd, opts)
-}
-
-// BuildStructureCtx is BuildStructureOpts honoring a context: cancellation
-// is observed between the pipeline stages (decomposition, lane construction,
-// transcript, hierarchy, artifact tables) and aborts the build with ctx.Err().
+// Scheme.ProveWithCtx calls. Cancellation is observed between the pipeline
+// stages (decomposition, lane construction, transcript, hierarchy, artifact
+// tables) and aborts the build with ctx.Err().
 func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions) (*StructuralProof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -276,7 +266,7 @@ func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p 
 		members:    h.MembersByTNodeFromP(first, workers),
 	}
 	// Warm the graph's lazily cached edge order while construction is still
-	// single-threaded; concurrent ProveWith calls then only read it.
+	// single-threaded; concurrent ProveWithCtx calls then only read it.
 	g.EdgesSeq()
 	if prev == nil && workers > 1 {
 		// The three table builds read disjoint inputs (artifacts walk the

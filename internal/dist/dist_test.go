@@ -13,6 +13,15 @@ import (
 	"repro/internal/graph"
 )
 
+// verify runs the sequential reference verifier (one worker, on the calling
+// goroutine) and returns the per-vertex verdicts.
+func verify(s *core.Scheme, cfg *cert.Config, l *core.Labeling) []bool {
+	seq := *s
+	seq.Workers = 1
+	verdicts, _ := seq.VerifyParallelCtx(context.Background(), cfg, l)
+	return verdicts
+}
+
 func maxDegree(g *graph.Graph) int {
 	best := 0
 	for v := 0; v < g.N(); v++ {
@@ -63,7 +72,7 @@ func TestRunCompleteness(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatalf("prove: %v", err)
 			}
@@ -88,7 +97,7 @@ func TestRunMatchesSequentialVerify(t *testing.T) {
 	g := gen.Caterpillar(8, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +110,7 @@ func TestRunMatchesSequentialVerify(t *testing.T) {
 		}
 	}
 	for i, l := range labelings {
-		want := s.Verify(cfg, l)
+		want := verify(s, cfg, l)
 		res, err := net.Run(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +141,7 @@ func TestRunSoundness(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewScheme(tc.prop, 6)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +174,7 @@ func TestRunWithMemoryFault(t *testing.T) {
 	g := gen.Caterpillar(8, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +215,7 @@ func TestRunContextCancellation(t *testing.T) {
 	g := gen.Caterpillar(10, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestRunRepeatable(t *testing.T) {
 	g := gen.Ladder(5)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

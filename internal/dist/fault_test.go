@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestInjectDoesNotMutateInput(t *testing.T) {
 	g := gen.Caterpillar(6, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +55,10 @@ func TestInjectDoesNotMutateInput(t *testing.T) {
 		if !ok {
 			t.Fatalf("fault %v not injectable", f)
 		}
-		if core.AllAccept(s.Verify(cfg, mutated)) {
+		if core.AllAccept(verify(s, cfg, mutated)) {
 			t.Errorf("fault %v: mutated labeling still accepted", f)
 		}
-		if !core.AllAccept(s.Verify(cfg, labeling)) {
+		if !core.AllAccept(verify(s, cfg, labeling)) {
 			t.Fatalf("fault %v mutated the input labeling", f)
 		}
 	}
@@ -73,7 +74,7 @@ func TestAllFaultsApplicableEveryFamily(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatalf("prove: %v", err)
 			}
@@ -84,7 +85,7 @@ func TestAllFaultsApplicableEveryFamily(t *testing.T) {
 					t.Errorf("fault %v not applicable on family %s", f, tc.name)
 					continue
 				}
-				if core.AllAccept(s.Verify(cfg, mutated)) {
+				if core.AllAccept(verify(s, cfg, mutated)) {
 					t.Errorf("fault %v undetected on family %s", f, tc.name)
 				}
 			}

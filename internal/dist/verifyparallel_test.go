@@ -1,10 +1,13 @@
 package dist
 
-// Regression pin for the parallel verifier: VerifyParallel must agree with
-// the sequential Verify verdict-for-verdict — on honest labelings of every
-// generator family, and under every fault of the corruption catalog.
+// Regression pin for the parallel verifier: VerifyParallelCtx on a pool of
+// four workers must agree with the one-worker sequential reference
+// verdict-for-verdict — on honest labelings of every generator family, and
+// under every fault of the corruption catalog. Both worker counts are set
+// explicitly, so the pool runs even where GOMAXPROCS is 1.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,31 +47,42 @@ func verifyFamilies(t *testing.T) []verifyFamily {
 		{"interval", ig, three},
 		{"lanewidth", lb.Graph(), three},
 		{"spiderfree", gen.SpiderFreeCaterpillar(rng, 26), two},
+		// Several 64-vertex chunks, so more than one worker claims work.
+		{"ladder-large", gen.Ladder(150), two},
 	}
 }
 
-func sameVerdicts(t *testing.T, context string, seq, par []bool) {
+func sameVerdicts(t *testing.T, context string, seq, pool []bool) {
 	t.Helper()
-	if len(seq) != len(par) {
-		t.Fatalf("%s: verdict count %d vs %d", context, len(seq), len(par))
+	if len(seq) != len(pool) {
+		t.Fatalf("%s: verdict count %d vs %d", context, len(seq), len(pool))
 	}
 	for v := range seq {
-		if seq[v] != par[v] {
-			t.Fatalf("%s: vertex %d: Verify=%v VerifyParallel=%v", context, v, seq[v], par[v])
+		if seq[v] != pool[v] {
+			t.Fatalf("%s: vertex %d: 1 worker=%v 4 workers=%v", context, v, seq[v], pool[v])
 		}
 	}
 }
 
-func TestVerifyParallelMatchesVerify(t *testing.T) {
+func TestVerifyWorkersOneMatchesFour(t *testing.T) {
 	for _, fam := range verifyFamilies(t) {
 		t.Run(fam.name, func(t *testing.T) {
 			s := core.NewScheme(fam.prop, 8)
 			cfg := cert.NewConfig(fam.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameVerdicts(t, "honest", s.Verify(cfg, labeling), s.VerifyParallel(cfg, labeling))
+			pool := *s
+			pool.Workers = 4
+			verifyPool := func(l *core.Labeling) []bool {
+				verdicts, err := pool.VerifyParallelCtx(context.Background(), cfg, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return verdicts
+			}
+			sameVerdicts(t, "honest", verify(s, cfg, labeling), verifyPool(labeling))
 
 			rng := rand.New(rand.NewSource(42))
 			for _, fault := range AllFaults {
@@ -77,10 +91,9 @@ func TestVerifyParallelMatchesVerify(t *testing.T) {
 					if !ok {
 						continue
 					}
-					seq := s.Verify(cfg, mutated)
-					par := s.VerifyParallel(cfg, mutated)
-					sameVerdicts(t, fault.String(), seq, par)
-					if core.AllAccept(par) {
+					got := verifyPool(mutated)
+					sameVerdicts(t, fault.String(), verify(s, cfg, mutated), got)
+					if core.AllAccept(got) {
 						t.Fatalf("fault %s trial %d: corruption accepted", fault, trial)
 					}
 				}

@@ -41,6 +41,12 @@ type E1Row struct {
 	BasePerLog2  float64 // BaselineBits / log2² n — flat ⇔ Θ(log² n)
 }
 
+// accepts reports whether every vertex accepts the labeling.
+func accepts(s *core.Scheme, cfg *cert.Config, l *core.Labeling) bool {
+	verdicts, err := s.VerifyParallelCtx(context.Background(), cfg, l)
+	return err == nil && core.AllAccept(verdicts)
+}
+
 // E1LabelSize measures the Theorem 1 scheme against the FMRT-style baseline
 // on caterpillars of growing size, certifying bipartiteness.
 func E1LabelSize(ns []int) ([]E1Row, error) {
@@ -56,11 +62,11 @@ func E1LabelSizeFor(prop algebra.Property, ns []int) ([]E1Row, error) {
 		cfg := cert.NewConfig(g)
 		pd := interval.OrderingDecomposition(g, interval.HeuristicOrdering(g))
 		s := core.NewScheme(prop, 6)
-		labeling, stats, err := s.Prove(cfg, pd)
+		labeling, stats, err := s.ProveCtx(context.Background(), cfg, pd)
 		if err != nil {
 			return nil, fmt.Errorf("e1 n=%d: %w", n, err)
 		}
-		if !core.AllAccept(s.Verify(cfg, labeling)) {
+		if !accepts(s, cfg, labeling) {
 			return nil, fmt.Errorf("e1 n=%d: verification failed", n)
 		}
 		bl, err := baseline.Prove(cfg, pd)
@@ -108,7 +114,7 @@ func E2Congestion(seed int64, k int, ns []int) ([]E2Row, error) {
 		w := r.Width()
 		greedy := lanes.Greedy(r)
 		gc := lanes.Complete(g, greedy, false)
-		gEmb, err := lanes.EmbedShortestPaths(g, gc)
+		gEmb, err := lanes.EmbedShortestPathsP(g, gc, 1)
 		if err != nil {
 			return nil, fmt.Errorf("e2 n=%d: %w", n, err)
 		}
@@ -161,7 +167,7 @@ func E3Depth(seed int64, ks []int, trials int) ([]E3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := h.Validate(); err != nil {
+			if err := h.ValidateP(1); err != nil {
 				return nil, err
 			}
 			if d := h.Depth(); d > maxDepth {
@@ -232,7 +238,7 @@ func E5Soundness(seed int64, trials int) ([]E5Row, error) {
 	g := gen.Caterpillar(8, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +252,7 @@ func E5Soundness(seed int64, trials int) ([]E5Row, error) {
 				continue
 			}
 			injected++
-			if !core.AllAccept(s.Verify(cfg, mutated)) {
+			if !accepts(s, cfg, mutated) {
 				detected++
 			}
 		}
@@ -282,11 +288,11 @@ func E6LowerBound(ns []int) ([]E6Row, error) {
 		pathG := graph.PathGraph(n)
 		s := core.NewScheme(algebra.Acyclic{}, 4)
 		cfgPath := cert.NewConfig(pathG)
-		labeling, stats, err := s.Prove(cfgPath, nil)
+		labeling, stats, err := s.ProveCtx(context.Background(), cfgPath, nil)
 		if err != nil {
 			return nil, err
 		}
-		if !core.AllAccept(s.Verify(cfgPath, labeling)) {
+		if !accepts(s, cfgPath, labeling) {
 			return nil, fmt.Errorf("e6 n=%d: path rejected", n)
 		}
 		cycleG := graph.CycleGraph(n)
@@ -295,7 +301,7 @@ func E6LowerBound(ns []int) ([]E6Row, error) {
 		for donor := range pathG.EdgesSeq() {
 			forged := labeling.Clone()
 			forged.Edges[graph.NewEdge(0, n-1)] = forged.Edges[donor]
-			if !core.AllAccept(s.Verify(cfgCycle, forged)) {
+			if !accepts(s, cfgCycle, forged) {
 				caught++
 			}
 		}
@@ -346,11 +352,11 @@ func E7MinorFree() ([]E7Row, error) {
 	for _, tc := range cases {
 		s := core.NewScheme(prop, 6)
 		cfg := cert.NewConfig(tc.g)
-		labeling, _, err := s.Prove(cfg, nil)
+		labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 		proved := err == nil
 		verified := false
 		if proved {
-			verified = core.AllAccept(s.Verify(cfg, labeling))
+			verified = accepts(s, cfg, labeling)
 		}
 		oracle := !tc.g.HasMinor(star)
 		if proved != oracle {
@@ -419,7 +425,7 @@ func e8PathGraph(n int) (*graph.Graph, error) {
 }
 
 // E8Scaling measures prover wall time and per-vertex verification time.
-// Verification runs on the VerifyParallel worker pool — the paper treats
+// Verification runs on the VerifyParallelCtx worker pool — the paper treats
 // verification as an embarrassingly parallel per-vertex computation, so the
 // wall time per vertex is the deployment-relevant number. Proving runs with
 // the scheme's default parallelism (GOMAXPROCS); the emitted labels are
@@ -439,13 +445,13 @@ func E8Scaling(ns []int) ([]E8Row, error) {
 		// n=10⁶ tail the retained-heap difference dominates the timing.
 		runtime.GC()
 		start := time.Now()
-		labeling, stats, err := s.Prove(cfg, pd)
+		labeling, stats, err := s.ProveCtx(context.Background(), cfg, pd)
 		if err != nil {
 			return nil, err
 		}
 		proveMS := float64(time.Since(start).Microseconds()) / 1000
 		start = time.Now()
-		if !core.AllAccept(s.VerifyParallel(cfg, labeling)) {
+		if !accepts(s, cfg, labeling) {
 			return nil, fmt.Errorf("e8 n=%d rejected", n)
 		}
 		verifyUS := float64(time.Since(start).Microseconds()) / float64(n)
@@ -491,8 +497,8 @@ type E9Row struct {
 }
 
 // E9Amortization measures multi-property certification: proving B
-// properties of one marked path via core.ProveAll (structure built once,
-// per-property algebra passes against it) versus B independent Prove calls
+// properties of one marked path via a core.Batch (structure built once,
+// per-property algebra passes against it) versus B independent prove calls
 // (each rebuilding the full pipeline). Both sides produce byte-identical
 // labelings — pinned here edge by edge — so the speedup is pure
 // amortization of the property-independent structure.
@@ -541,7 +547,7 @@ func labelingDigest(l *core.Labeling) map[graph.Edge]uint64 {
 }
 
 func e9Point(cfg *cert.Config, props []algebra.Property) (E9Row, error) {
-	// Independent baseline: B full Prove calls, fresh scheme each (exactly
+	// Independent baseline: B full prove calls, fresh scheme each (exactly
 	// what a naive per-request client would run). Best of two trials per
 	// side, as for any wall-clock microbenchmark.
 	var indMS float64
@@ -551,7 +557,7 @@ func e9Point(cfg *cert.Config, props []algebra.Property) (E9Row, error) {
 		for _, p := range props {
 			s := core.NewScheme(p, core.DefaultMaxLanes)
 			start := time.Now()
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := s.ProveCtx(context.Background(), cfg, nil)
 			elapsed += time.Since(start)
 			if err != nil {
 				return E9Row{}, fmt.Errorf("e9 %s: %w", p.Name(), err)
@@ -575,7 +581,11 @@ func e9Point(cfg *cert.Config, props []algebra.Property) (E9Row, error) {
 			return E9Row{}, err
 		}
 		start := time.Now()
-		labelings, _, err = batch.ProveAll(cfg, nil)
+		sp, err := core.BuildStructureCtx(context.Background(), cfg, nil, core.StructureOptions{})
+		if err != nil {
+			return E9Row{}, err
+		}
+		labelings, _, err = batch.ProveAllWithCtx(context.Background(), sp)
 		if err != nil {
 			return E9Row{}, err
 		}
@@ -630,7 +640,7 @@ type E11Row struct {
 // certified bipartite: for each locality (head, middle, tail of the lane
 // order) and batch size, a batch of rung removals is applied through
 // core.Incremental and timed, then the inverse batch restores the graph. The
-// baseline is a fresh Prove of the same configuration — what every edit would
+// baseline is a fresh prove of the same configuration — what every edit would
 // cost without the engine. Rung edits stay covered by the retained path
 // decomposition, so none of these updates falls back; the Fallback column
 // pins that. After each size's sweep the engine's labeling is compared
@@ -649,7 +659,7 @@ func E11Recertification(ns, batches []int) ([]E11Row, error) {
 		for trial := 0; trial < 2; trial++ {
 			s := core.NewScheme(prop, maxLanes)
 			start := time.Now()
-			if _, _, err := s.Prove(cfg, nil); err != nil {
+			if _, _, err := s.ProveCtx(context.Background(), cfg, nil); err != nil {
 				return nil, fmt.Errorf("e11 n=%d full prove: %w", n, err)
 			}
 			if ms := float64(time.Since(start).Microseconds()) / 1000; trial == 0 || ms < fullMS {
@@ -717,7 +727,7 @@ func E11Recertification(ns, batches []int) ([]E11Row, error) {
 		// the graph in its current adjacency state.)
 		snapG, labs, _, _ := inc.Snapshot()
 		got := labelingDigest(labs[prop.Name()])
-		refLab, _, err := core.NewScheme(prop, maxLanes).Prove(cert.NewConfig(snapG), nil)
+		refLab, _, err := core.NewScheme(prop, maxLanes).ProveCtx(ctx, cert.NewConfig(snapG), nil)
 		if err != nil {
 			return nil, fmt.Errorf("e11 n=%d reference prove: %w", n, err)
 		}
@@ -747,7 +757,7 @@ func PrintE11(w io.Writer, rows []E11Row) {
 
 // PrintE9 renders E9 rows.
 func PrintE9(w io.Writer, rows []E9Row) {
-	fmt.Fprintf(w, "E9  Amortization: ProveAll (shared structure) vs B independent Prove calls\n")
+	fmt.Fprintf(w, "E9  Amortization: batch (shared structure) vs B independent prove calls\n")
 	fmt.Fprintf(w, "%8s %4s %16s %12s %9s  %s\n", "n", "B", "independent[ms]", "batch[ms]", "speedup", "properties")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8d %4d %16.1f %12.1f %8.2fx  %s\n",

@@ -110,7 +110,7 @@ func (emb Embedding) Validate(g *graph.Graph, c *Completion) error {
 	return nil
 }
 
-// EmbedShortestPaths embeds every virtual edge of c as a BFS shortest path
+// EmbedShortestPathsP embeds every virtual edge of c as a BFS shortest path
 // in g. This is the pragmatic embedding used for greedy partitions; its
 // congestion carries no worst-case guarantee and is measured empirically
 // (experiment E2 ablation).
@@ -123,16 +123,12 @@ func (emb Embedding) Validate(g *graph.Graph, c *Completion) error {
 // O(n) clearing). The truncated BFS builds the same parent-tree prefix a
 // full g.Path BFS would, so each extracted path is identical to the naive
 // per-edge g.Path(ve.U, ve.V) result.
-func EmbedShortestPaths(g *graph.Graph, c *Completion) (Embedding, error) {
-	return EmbedShortestPathsP(g, c, 1)
-}
-
-// EmbedShortestPathsP is EmbedShortestPaths distributed over a worker pool:
-// source batches are independent (each truncated BFS reads only the shared
+//
+// Source batches are independent (each truncated BFS reads only the shared
 // adjacency), so workers process disjoint sources with per-worker scratch and
 // per-worker result maps that are merged afterwards. Each path depends only
-// on its source's batch and the graph, never on scheduling, so the merged
-// embedding is identical to the sequential one. workers ≤ 1 runs inline.
+// on its source's batch and the graph, never on scheduling, so the embedding
+// is identical for every workers value; workers ≤ 1 runs inline.
 func EmbedShortestPathsP(g *graph.Graph, c *Completion, workers int) (Embedding, error) {
 	bySource := groupBySource(c.Virtual)
 	workers = par.Workers(workers)
@@ -258,21 +254,18 @@ func (sc *embedScratch) run(g *graph.Graph, src graph.Vertex, ves []graph.Edge, 
 	return sc.queue, nil
 }
 
-// Build constructs the Section 4 artifacts of (g, r) in one call: a lane
+// BuildP constructs the Section 4 artifacts of (g, r) in one call: a lane
 // partition, its completion, and an embedding of every virtual completion
 // edge. usePaper selects the Proposition 4.6 recursive construction (with
 // its worst-case lane and congestion bounds) over the default greedy
 // first-fit partition with shortest-path embeddings. It is the single
 // entry point the property-independent prover layer builds on.
-func Build(g *graph.Graph, r *interval.Representation, usePaper bool) (*Partition, *Completion, Embedding, error) {
-	return BuildP(g, r, usePaper, 1)
-}
-
-// BuildP is Build with the embedding stage distributed over workers (see
-// EmbedShortestPathsP); the partition and completion themselves are cheap
-// sequential scans. The paper construction derives its embeddings inside the
-// recursion and stays sequential regardless of workers. Output is identical
-// to Build for every workers value.
+//
+// The embedding stage is distributed over workers (see EmbedShortestPathsP);
+// the partition and completion themselves are cheap sequential scans. The
+// paper construction derives its embeddings inside the recursion and stays
+// sequential regardless of workers. Output is identical for every workers
+// value.
 func BuildP(g *graph.Graph, r *interval.Representation, usePaper bool, workers int) (*Partition, *Completion, Embedding, error) {
 	if usePaper {
 		return BuildLowCongestion(g, r)

@@ -1,6 +1,6 @@
 package lanes_test
 
-// Regression pin for the batched-BFS embedding: EmbedShortestPaths must
+// Regression pin for the batched-BFS embedding: EmbedShortestPathsP must
 // return, for every virtual edge, exactly the path the naive per-edge
 // g.Path(ve.U, ve.V) reference produces. The prover's labels are built from
 // these paths, so path identity is what keeps the optimized prover's output
@@ -66,7 +66,7 @@ func TestEmbedShortestPathsMatchesNaiveReference(t *testing.T) {
 			p := lanes.Greedy(r)
 			for _, weak := range []bool{false, true} {
 				c := lanes.Complete(g, p, weak)
-				got, err := lanes.EmbedShortestPaths(g, c)
+				got, err := lanes.EmbedShortestPathsP(g, c, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -52,7 +52,7 @@ func TestGreedyOnPath(t *testing.T) {
 		t.Fatalf("greedy lanes %d exceed width %d", p.K(), r.Width())
 	}
 	c := Complete(g, p, false)
-	emb, err := EmbedShortestPaths(g, c)
+	emb, err := EmbedShortestPathsP(g, c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestQuickGreedyLaneBound(t *testing.T) {
 			return false
 		}
 		c := Complete(g, p, false)
-		emb, err := EmbedShortestPaths(g, c)
+		emb, err := EmbedShortestPathsP(g, c, 1)
 		if err != nil {
 			return false
 		}

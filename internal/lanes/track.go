@@ -24,7 +24,7 @@ type TrackedEmbedding struct {
 	targets map[graph.Vertex][]graph.Vertex
 }
 
-// EmbedTracked is EmbedShortestPaths plus reuse metadata: the returned
+// EmbedTracked is EmbedShortestPathsP plus reuse metadata: the returned
 // embedding is identical, and the tracked form can re-derive later
 // embeddings of edited graphs source-by-source.
 func EmbedTracked(g *graph.Graph, c *Completion) (*TrackedEmbedding, error) {
@@ -52,7 +52,7 @@ func EmbedTracked(g *graph.Graph, c *Completion) (*TrackedEmbedding, error) {
 // vertex lies in the recorded ball. touched must list every vertex whose
 // adjacency changed since the receiver was built (both endpoints of every
 // added or removed edge). The result is byte-identical to a fresh
-// EmbedShortestPaths(g, c); reuse only short-circuits traversals whose
+// EmbedShortestPathsP(g, c, 1); reuse only short-circuits traversals whose
 // inputs did not change. Returns the new tracked embedding and the number
 // of sources reused.
 func (te *TrackedEmbedding) Reembed(g *graph.Graph, c *Completion, touched []graph.Vertex) (*TrackedEmbedding, int, error) {

@@ -27,16 +27,16 @@ func buildFor(t *testing.T, g *graph.Graph) (*interval.Representation, *lanes.Pa
 func TestEmbedTrackedMatchesEmbedShortestPaths(t *testing.T) {
 	g := gen.Ladder(12)
 	_, _, c := buildFor(t, g)
-	want, err := lanes.EmbedShortestPaths(g, c)
+	want, err := lanes.EmbedShortestPathsP(g, c, 1)
 	if err != nil {
-		t.Fatalf("lanes.EmbedShortestPaths: %v", err)
+		t.Fatalf("lanes.EmbedShortestPathsP: %v", err)
 	}
 	te, err := lanes.EmbedTracked(g, c)
 	if err != nil {
 		t.Fatalf("lanes.EmbedTracked: %v", err)
 	}
 	if !reflect.DeepEqual(te.Emb, want) {
-		t.Fatalf("tracked embedding diverged from lanes.EmbedShortestPaths")
+		t.Fatalf("tracked embedding diverged from lanes.EmbedShortestPathsP")
 	}
 	if te.Sources() == 0 {
 		t.Fatalf("no sources recorded")
@@ -44,8 +44,8 @@ func TestEmbedTrackedMatchesEmbedShortestPaths(t *testing.T) {
 }
 
 // TestReembedMatchesFresh pins the tracked reuse contract: after an edit,
-// Reembed over the retained intervals equals a fresh lanes.EmbedShortestPaths of
-// the mutated graph, and at least one source far from the edit is reused.
+// Reembed over the retained intervals equals a fresh lanes.EmbedShortestPathsP
+// of the mutated graph, and at least one source far from the edit is reused.
 func TestReembedMatchesFresh(t *testing.T) {
 	g := gen.Ladder(16)
 	_, p, _ := buildFor(t, g)
@@ -71,7 +71,7 @@ func TestReembedMatchesFresh(t *testing.T) {
 	}
 
 	c1 := lanes.Complete(g, p, false)
-	want, err := lanes.EmbedShortestPaths(g, c1)
+	want, err := lanes.EmbedShortestPathsP(g, c1, 1)
 	if err != nil {
 		t.Fatalf("fresh embed: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestReembedMatchesFresh(t *testing.T) {
 		t.Fatalf("re-add rung: %v", err)
 	}
 	c2 := lanes.Complete(g, p, false)
-	want2, err := lanes.EmbedShortestPaths(g, c2)
+	want2, err := lanes.EmbedShortestPathsP(g, c2, 1)
 	if err != nil {
 		t.Fatalf("fresh embed 2: %v", err)
 	}

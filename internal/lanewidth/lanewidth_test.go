@@ -212,7 +212,7 @@ func TestHierarchyFigure10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.ValidateP(1); err != nil {
 		t.Fatal(err)
 	}
 	if d := h.Depth(); d > 2*3 {
@@ -277,7 +277,7 @@ func TestQuickHierarchyValidAndBoundedDepth(t *testing.T) {
 			t.Logf("seed %d: hierarchy: %v", seed, err)
 			return false
 		}
-		if err := h.Validate(); err != nil {
+		if err := h.ValidateP(1); err != nil {
 			t.Logf("seed %d: validate: %v", seed, err)
 			return false
 		}
@@ -353,7 +353,7 @@ func TestPipelineSection4ToSection5(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: hierarchy: %v", trial, err)
 		}
-		if err := h.Validate(); err != nil {
+		if err := h.ValidateP(1); err != nil {
 			t.Fatalf("trial %d: validate: %v", trial, err)
 		}
 		if h.Depth() > 2*p.K() {

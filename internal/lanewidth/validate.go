@@ -198,7 +198,7 @@ func (t *Node) RootMember() *Node {
 	return t.Tree.Node
 }
 
-// Validate checks the structural invariants of the hierarchical
+// ValidateP checks the structural invariants of the hierarchical
 // decomposition against the graph:
 //
 //  1. every graph edge is owned by exactly one node, and every owned edge
@@ -212,38 +212,29 @@ func (t *Node) RootMember() *Node {
 //  5. the depth bound of Observation 5.5 (≤ 2k) holds;
 //  6. each node's subgraph is connected (the key property enabling local
 //     certification, end of Section 5.3).
-func (h *Hierarchy) Validate() error {
-	return h.ValidateFromP(0, 1)
-}
-
-// ValidateP is Validate with the per-node connectivity sweep (check 6, the
-// dominant cost) distributed over a worker pool; every other check runs
-// sequentially on the calling goroutine. The verdict is identical to
-// Validate; only the particular node named by an error on an invalid
-// hierarchy may differ with scheduling.
+//
+// The per-node connectivity sweep (check 6, the dominant cost) is
+// distributed over a worker pool; every other check runs sequentially on the
+// calling goroutine. The verdict is identical for every workers value; only
+// the particular node named by an error on an invalid hierarchy may differ
+// with scheduling. workers 1 is the sequential reference.
 func (h *Hierarchy) ValidateP(workers int) error {
 	return h.ValidateFromP(0, workers)
 }
 
-// ValidateFrom is Validate restricted to the dirty region of an incremental
-// rebuild: nodes with id below first were created by a transcript prefix the
-// previous, already-validated generation shares (see BuildHierarchyMark), so
-// their internal invariants (checks 2–4 and 6) were established when that
-// generation validated and are skipped. Global checks stay global: the edge
-// partition (1) is re-verified over the whole graph, the depth bound (5)
-// over the whole hierarchy, and the gluing conditions of every non-frozen
-// T-node tree — the root's included — are checked even where they reference
-// frozen members. With first > 0 the root's own subgraph-connectivity check
-// is also skipped: its subgraph is the entire completion, whose connectivity
-// follows from check 1 plus the certified graph's connectivity, which the
-// incremental engine verifies before rebuilding. ValidateFrom(0) is exactly
-// Validate.
-func (h *Hierarchy) ValidateFrom(first int) error {
-	return h.ValidateFromP(first, 1)
-}
-
-// ValidateFromP is ValidateFrom with the connectivity sweep parallelized
-// (see ValidateP).
+// ValidateFromP is ValidateP restricted to the dirty region of an
+// incremental rebuild: nodes with id below first were created by a
+// transcript prefix the previous, already-validated generation shares (see
+// BuildHierarchyMark), so their internal invariants (checks 2–4 and 6) were
+// established when that generation validated and are skipped. Global checks
+// stay global: the edge partition (1) is re-verified over the whole graph,
+// the depth bound (5) over the whole hierarchy, and the gluing conditions of
+// every non-frozen T-node tree — the root's included — are checked even
+// where they reference frozen members. With first > 0 the root's own
+// subgraph-connectivity check is also skipped: its subgraph is the entire
+// completion, whose connectivity follows from check 1 plus the certified
+// graph's connectivity, which the incremental engine verifies before
+// rebuilding. ValidateFromP(0, w) is exactly ValidateP(w).
 func (h *Hierarchy) ValidateFromP(first, workers int) error {
 	// 1. Edge partition.
 	owned := map[graph.Edge]int{}

@@ -22,9 +22,11 @@ func Workers(n int) int {
 	return n
 }
 
-// chunk is the number of consecutive indices a worker claims at once: large
+// chunk is the most consecutive indices a worker claims at once: large
 // enough to amortize the atomic fetch, small enough to balance skewed costs
-// (hierarchy nodes near the root are far heavier than leaves).
+// (hierarchy nodes near the root are far heavier than leaves). Loops shorter
+// than chunk indices per worker claim ⌈n/workers⌉ at a time instead, so even
+// a handful of heavy items (a batch's property passes) spreads over the pool.
 const chunk = 64
 
 // For runs fn(worker, i) for every i in [0, n), distributed over workers
@@ -33,38 +35,10 @@ const chunk = 64
 // workers ≤ 1 (or a trivially small n) the loop runs inline on the calling
 // goroutine with worker id 0.
 func For(workers, n int, fn func(worker, i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				start := int(next.Add(chunk)) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					fn(worker, i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	ForErr(workers, n, func(worker, i int) error {
+		fn(worker, i)
+		return nil
+	})
 }
 
 // ForErr is For with error propagation: the first error (by completion order)
@@ -84,6 +58,7 @@ func ForErr(workers, n int, fn func(worker, i int) error) error {
 		}
 		return nil
 	}
+	size := min(chunk, (n+workers-1)/workers)
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
@@ -96,14 +71,11 @@ func ForErr(workers, n int, fn func(worker, i int) error) error {
 		go func(worker int) {
 			defer wg.Done()
 			for !failed.Load() {
-				start := int(next.Add(chunk)) - chunk
+				start := int(next.Add(int64(size))) - size
 				if start >= n {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
+				end := min(start+size, n)
 				for i := start; i < end; i++ {
 					if err := fn(worker, i); err != nil {
 						mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -54,4 +55,23 @@ func TestForErrPropagatesFirstError(t *testing.T) {
 	if err := ForErr(4, 1000, func(worker, i int) error { return nil }); err != nil {
 		t.Fatalf("clean run returned %v", err)
 	}
+}
+
+// TestForSpreadsShortLoops pins that a loop of fewer than chunk items per
+// worker still runs on the whole pool: every call blocks until all workers
+// are inside one, which only completes if each worker claimed its own item.
+func TestForSpreadsShortLoops(t *testing.T) {
+	const workers = 4
+	var inside atomic.Int32
+	all := make(chan struct{})
+	For(workers, workers, func(worker, i int) {
+		if inside.Add(1) == workers {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			t.Errorf("item %d: the %d items never ran at once", i, workers)
+		}
+	})
 }
